@@ -35,7 +35,7 @@ from repro.errors import TransactionAborted
 from repro.obs import phases
 from repro.node.lock_table import LockMode, LockTable
 from repro.sim.engine import Event
-from repro.sim.resources import held_chain, held_chain_cancel
+from repro.sim.resources import NESTED, hold_seq, hold_seq_cancel
 from repro.sim.stats import Tally
 from repro.workload.transaction import Transaction
 
@@ -82,12 +82,12 @@ class GemLockingProtocol(CCProtocol):
     # -- GEM entry access helper --------------------------------------------
 
     def _entry_chain(self, node_id: int, count: int) -> Event:
-        """Build the chained entry for ``count`` synchronous GLT accesses.
+        """Start ``count`` synchronous GLT accesses as one compound hold.
 
-        The whole CPU-grant / setup-instructions / server-access
-        sequence is one chained entry (held_chain): the caller yields
-        the returned completion event once per compound access instead
-        of once per leg, guarding it with ``held_chain_cancel``.  The
+        The CPU is held for the setup instructions and, as a NESTED
+        leg, across the GEM server access: the caller yields the
+        returned completion event once per compound access instead of
+        once per leg, guarding it with ``hold_seq_cancel``.  The
         hottest call sites (lock acquire, commit release) yield it
         directly; colder paths go through the :meth:`_entry_ops`
         wrapper.
@@ -97,11 +97,12 @@ class GemLockingProtocol(CCProtocol):
         cpu.instructions_executed += instr
         gem = self.gem
         gem.entry_accesses += count
-        return held_chain(
-            cpu.resource,
-            gem.server,
-            instr / cpu.speed,
-            count * gem.entry_access_time,
+        return hold_seq(
+            cpu.sim,
+            (
+                (cpu.resource, instr / cpu.speed, NESTED),
+                (gem.server, count * gem.entry_access_time, None),
+            ),
         )
 
     def _entry_ops(
@@ -121,13 +122,13 @@ class GemLockingProtocol(CCProtocol):
                 try:
                     yield done
                 except BaseException:
-                    held_chain_cancel(done)
+                    hold_seq_cancel(done)
                     raise
         else:
             try:
                 yield done
             except BaseException:
-                held_chain_cancel(done)
+                hold_seq_cancel(done)
                 raise
 
     # -- lock acquisition ------------------------------------------------------
@@ -160,7 +161,7 @@ class GemLockingProtocol(CCProtocol):
                 try:
                     yield done
                 except BaseException:
-                    held_chain_cancel(done)
+                    hold_seq_cancel(done)
                     raise
             if self._auth:
                 holder = min(self.glt.entry(page).auth_nodes, default=None)
@@ -365,7 +366,7 @@ class GemLockingProtocol(CCProtocol):
                 try:
                     yield done
                 except BaseException:
-                    held_chain_cancel(done)
+                    hold_seq_cancel(done)
                     raise
             entry = self.glt.entry(page)
             new_version = txn.modified.get(page)
@@ -379,7 +380,7 @@ class GemLockingProtocol(CCProtocol):
                 try:
                     yield done
                 except BaseException:
-                    held_chain_cancel(done)
+                    hold_seq_cancel(done)
                     raise
         txn.held_locks.clear()
 

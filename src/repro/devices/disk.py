@@ -17,18 +17,13 @@ With a cache (:class:`~repro.devices.disk_cache.DiskCache`):
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from repro.db.pages import PageId, VersionLedger
 from repro.devices.disk_cache import DiskCache
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource, Store, hold_seq, hold_seq_cancel
+from repro.sim.resources import Legs, Resource, Store, hold_seq, hold_seq_cancel
 from repro.sim.rng import Stream
-
-#: Extra legs prepended to an I/O's ``hold_seq`` chain (the issuing
-#: node's CPU setup slice, see ``StorageDirectory``).  Each leg is
-#: ``(resource, time, stream)``; see :func:`repro.sim.resources.hold_seq`.
-Legs = Tuple[Tuple[Optional[Resource], float, Any], ...]
 
 __all__ = ["DiskArray"]
 
@@ -179,9 +174,6 @@ class DiskArray:
 
     def max_disk_utilization(self) -> float:
         return max(disk.utilization() for disk in self.disks)
-
-    def mean_disk_utilization(self) -> float:
-        return sum(disk.utilization() for disk in self.disks) / len(self.disks)
 
     def busy_time(self, now=None) -> float:
         """Accumulated busy disk-seconds over the whole array."""

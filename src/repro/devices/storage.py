@@ -22,7 +22,7 @@ from repro.devices.disk import DiskArray
 from repro.devices.gem import GemDevice
 from repro.node.cpu import CpuPool
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import held_chain, held_chain_cancel
+from repro.sim.resources import NESTED, hold_seq, hold_seq_cancel
 
 __all__ = ["StorageDirectory"]
 
@@ -83,6 +83,31 @@ class StorageDirectory:
 
     # -- page I/O -----------------------------------------------------------
 
+    def _gem_page_access(
+        self, gem: GemDevice, cpu: CpuPool
+    ) -> Generator[Event, Any, None]:
+        """One synchronous GEM page access issued from ``cpu``.
+
+        The CPU is held for the initiation instructions and then, as a
+        NESTED leg, across the whole page access -- queueing at the GEM
+        server included -- in one compound hold.
+        """
+        gem.page_accesses += 1
+        gio = self.instructions_per_gem_io
+        cpu.instructions_executed += gio
+        done = hold_seq(
+            cpu.sim,
+            (
+                (cpu.resource, gio / cpu.speed, NESTED),
+                (gem.server, gem.page_access_time, None),
+            ),
+        )
+        try:
+            yield done
+        except BaseException:
+            hold_seq_cancel(done)
+            raise
+
     def read(self, page: PageId, cpu: CpuPool) -> Generator[Event, Any, int]:
         """Read ``page`` from its permanent storage; returns the version."""
         if self.faults is not None:
@@ -91,21 +116,7 @@ class StorageDirectory:
             yield from self.faults.wait_redo(page)
         backend = self._backends[page[0]]
         if isinstance(backend, GemDevice):
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = backend
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                held_chain_cancel(done)
-                raise
+            yield from self._gem_page_access(backend, cpu)
             return self.ledger.storage_version(page)
         # Disk-resident file: the CPU setup slice rides as the lead leg
         # of the disk I/O's hold_seq chain -- one suspension covers
@@ -128,21 +139,7 @@ class StorageDirectory:
         """
         backend = self._backends[page[0]]
         if isinstance(backend, GemDevice):
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = backend
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                held_chain_cancel(done)
-                raise
+            yield from self._gem_page_access(backend, cpu)
             if version is not None:
                 self.ledger.write_storage(page, version)
             return
@@ -150,21 +147,7 @@ class StorageDirectory:
         if write_buffer is not None:
             # GEM write buffer: the write is durable after a synchronous
             # GEM page access; the disk copy is updated asynchronously.
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = write_buffer
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                held_chain_cancel(done)
-                raise
+            yield from self._gem_page_access(write_buffer, cpu)
             if version is not None:
                 self.ledger.write_storage(page, version)
             self.sim.process(self._destage(backend, page), name="gem-wbuf-destage")
@@ -188,21 +171,7 @@ class StorageDirectory:
         node's log -- charged to the recovering node's CPU.
         """
         if self._log_gem is not None:
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = self._log_gem
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                held_chain_cancel(done)
-                raise
+            yield from self._gem_page_access(self._log_gem, cpu)
             return
         log_disk = self._log_disks[node_id]
         instr = self.instructions_per_io
@@ -220,21 +189,7 @@ class StorageDirectory:
         durable and more than two orders of magnitude faster).
         """
         if self._log_gem is not None:
-            # One chained entry (held_chain) covers the CPU grant, the
-            # setup instructions and the synchronous GEM page access:
-            # the generator suspends once per I/O instead of per leg.
-            gem = self._log_gem
-            gem.page_accesses += 1
-            gio = self.instructions_per_gem_io
-            cpu.instructions_executed += gio
-            done = held_chain(
-                cpu.resource, gem.server, gio / cpu.speed, gem.page_access_time
-            )
-            try:
-                yield done
-            except BaseException:
-                held_chain_cancel(done)
-                raise
+            yield from self._gem_page_access(self._log_gem, cpu)
             return
         log_disk = self._log_disks[node_id]
         instr = self.instructions_per_io

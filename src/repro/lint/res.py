@@ -2,11 +2,10 @@
 
 The simulator's resource layer hands out *obligations*:
 
-* ``entry = res.hold(d)`` / ``held_chain(...)`` / ``hold_seq(...)``
-  return an entry that must either complete (``yield entry``) or be
-  cancelled (``res.hold_cancel(entry)`` / ``held_chain_cancel`` /
-  ``hold_seq_cancel``) -- otherwise the queued slice leaks when an
-  interrupt tears the process off the wait.
+* ``done = hold_seq(sim, legs)`` returns an entry that must either
+  complete (``yield done``) or be cancelled (``hold_seq_cancel(done)``)
+  -- otherwise the queued leg leaks when an interrupt tears the process
+  off the wait.
 * ``req = res.request()`` is the same until the yield succeeds -- and
   *then* the unit is held and must be given back with
   ``res.release()`` on **every** path out of the function.
@@ -39,12 +38,11 @@ from repro.lint.findings import Finding
 
 __all__ = ["ResAnalyzer"]
 
-#: Acquisition helpers called as free functions.
-_FREE_ACQUIRERS = {"held_chain": "held_chain", "hold_seq": "hold_seq"}
-#: Cancel helpers called as free functions, one obligation argument.
-_FREE_CANCELS = {"held_chain_cancel", "hold_seq_cancel"}
-#: Cancel methods: ``recv.hold_cancel(entry)`` / ``recv.cancel(entry)``.
-_METHOD_CANCELS = {"hold_cancel", "cancel"}
+#: The compound hold, called as a free function, and its cancel (one
+#: obligation argument); ``recv.cancel(req)`` withdraws a request.
+_ACQUIRER = "hold_seq"
+_FREE_CANCEL = "hold_seq_cancel"
+_METHOD_CANCEL = "cancel"
 
 _PENDING = "pending"
 _HELD = "held"
@@ -146,9 +144,6 @@ class _FunctionAnalysis:
         self.path = path
         self.func = func
         self.findings = findings
-        #: name -> (kind, receiver src) for ``h = res.hold`` style aliases.
-        self.method_aliases: Dict[str, Tuple[str, str]] = {}
-        self._collect_aliases()
         self._reported: Set[Tuple[int, int, str]] = set()
 
     def run(self) -> None:
@@ -163,21 +158,6 @@ class _FunctionAnalysis:
             self._transfer(node, in_states[node.node_id], collect=True)
         self._check_exit(in_states.get(cfg.exit.node_id), interrupted=False)
         self._check_exit(in_states.get(cfg.raise_exit.node_id), interrupted=True)
-
-    # -- alias collection ----------------------------------------------
-
-    def _collect_aliases(self) -> None:
-        for stmt in ast.walk(self.func):
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            value = stmt.value
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(value, ast.Attribute)
-                and value.attr == "hold"
-            ):
-                self.method_aliases[target.id] = ("hold", _unparse(value.value))
 
     # -- fact plumbing --------------------------------------------------
 
@@ -202,8 +182,7 @@ class _FunctionAnalysis:
                         f"{kind} obligation can escape the function on "
                         f"{how} while still pending: guard the wait with "
                         "try/except BaseException and cancel "
-                        "(hold_cancel/held_chain_cancel/hold_seq_cancel/"
-                        "cancel) before re-raising",
+                        "(hold_seq_cancel/cancel) before re-raising",
                     )
                 elif status == _HELD:
                     self._flag(
@@ -254,14 +233,14 @@ class _FunctionAnalysis:
         cancelled_var: Optional[str] = None
         if (
             isinstance(func, ast.Name)
-            and func.id in _FREE_CANCELS
+            and func.id == _FREE_CANCEL
             and len(call.args) == 1
             and isinstance(call.args[0], ast.Name)
         ):
             cancelled_var = call.args[0].id
         elif (
             isinstance(func, ast.Attribute)
-            and func.attr in _METHOD_CANCELS
+            and func.attr == _METHOD_CANCEL
             and len(call.args) == 1
             and isinstance(call.args[0], ast.Name)
         ):
@@ -321,7 +300,7 @@ class _FunctionAnalysis:
             for status, kind, receiver, line, col in facts:
                 if status == _PENDING:
                     # A completed request() wait holds the unit; a
-                    # completed hold/chain entry is fully discharged.
+                    # completed hold_seq entry is fully discharged.
                     status = _HELD if kind == "request" else _DONE
                 moved.add((status, kind, receiver, line, col))
             normal[key] = frozenset(moved)
@@ -361,7 +340,7 @@ class _FunctionAnalysis:
                     if isinstance(sub.func, ast.Name)
                     else None
                 )
-                if func_name in _FREE_CANCELS or func_name in _METHOD_CANCELS:
+                if func_name in (_FREE_CANCEL, _METHOD_CANCEL):
                     continue
                 for arg in [*sub.args, *[k.value for k in sub.keywords]]:
                     for name in ast.walk(arg):
@@ -425,16 +404,14 @@ class _FunctionAnalysis:
             return None
         func = value.func
         if isinstance(func, ast.Name):
-            if func.id in _FREE_ACQUIRERS:
-                return _FREE_ACQUIRERS[func.id], func.id
-            alias = self.method_aliases.get(func.id)
-            if alias is not None:
-                return alias
+            if func.id == _ACQUIRER:
+                return _ACQUIRER, func.id
             return None
-        if isinstance(func, ast.Attribute):
-            receiver = _unparse(func.value)
-            if func.attr == "hold" and value.args:
-                return "hold", receiver
-            if func.attr == "request" and not value.args and not value.keywords:
-                return "request", receiver
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "request"
+            and not value.args
+            and not value.keywords
+        ):
+            return "request", _unparse(func.value)
         return None

@@ -93,7 +93,7 @@ _RULE_LIST = [
     Rule(
         "RES001",
         "resource obligation not cancelled on every path",
-        "hold()/held_chain()/hold_seq()/request() return an entry that "
+        "hold_seq() and request() return an entry that "
         "must either complete (yield it) or be cancelled.  A path -- "
         "including the interrupt thrown into a suspension point by a "
         "deadlock abort or node crash -- that escapes the function while "

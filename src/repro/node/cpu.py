@@ -7,8 +7,9 @@ overhead, I/O overhead -- is expressed in instructions and converted to
 service time here.
 
 Synchronous GEM accesses keep the CPU busy for the complete access
-(section 2); model code uses :meth:`request`/:meth:`release` to hold a
-CPU unit across such a compound operation.
+(section 2): the GEM paths hold the CPU as a NESTED leg of one
+:func:`~repro.sim.resources.hold_seq`, and the event-per-step paths
+hold it with :meth:`grab`/:meth:`release` around :meth:`busy_work`.
 """
 
 from __future__ import annotations
@@ -63,19 +64,7 @@ class CpuPool:
         self.instructions_executed += instructions
         return self.resource.acquire(instructions / self.speed)
 
-    def consume_exp(self, mean_instructions: float) -> Iterator[Event]:
-        """Execute an exponentially distributed number of instructions."""
-        instructions = self.stream.exponential(mean_instructions)
-        self.instructions_executed += instructions
-        if instructions:
-            return self.resource.acquire(instructions / self.speed)
-        return iter(())
-
     # -- compound operations (synchronous GEM access) -------------------
-
-    def request(self) -> Event:
-        """Acquire one CPU unit; pair with :meth:`release`."""
-        return self.resource.request()
 
     def grab(self) -> Iterator[Event]:
         """Wait for one CPU unit, cancel-safe; pair with :meth:`release`."""

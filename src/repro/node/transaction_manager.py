@@ -23,6 +23,7 @@ from repro.cc.base import LockGrant
 from repro.errors import NodeCrashed, TransactionAborted
 from repro.obs import phases
 from repro.sim.engine import Event, Process
+from repro.sim.resources import hold_seq, hold_seq_cancel
 from repro.workload.transaction import PageAccess, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,20 +82,17 @@ class TransactionManager:
                 buffer = node.buffer
                 held_locks = txn.held_locks  # cleared in place on restart
                 grants = txn.grants
-                # The three CPU phases below inline cpu.consume_exp:
-                # the exponential draw ``-log(1 - U) * mean`` consumes
-                # the same uniform from the same stream as
+                # The three CPU phases below draw an exponential path
+                # length inline: ``-log(1 - U) * mean`` consumes the
+                # same uniform from the same stream as
                 # ``expovariate(1 / mean)``, minus the method-call and
-                # division overhead; the grant/hold/release accounting
-                # is unchanged, minus the acquire-generator frame on
-                # every resume.  Each slice is coalesced
-                # (Resource.hold): one slice-end entry, one resume,
-                # whether or not the CPU is contended.  The per-access
-                # phase -- the hottest span site in the simulator --
-                # skips the span context manager entirely when the
-                # recorder is disabled.
+                # division overhead.  Each slice is a one-leg hold_seq
+                # yielded directly (no acquire-generator frame): one
+                # slice-end entry, one resume, whether or not the CPU
+                # is contended.  The per-access phase -- the hottest
+                # span site in the simulator -- skips the span context
+                # manager entirely when the recorder is disabled.
                 cpu_res = cpu.resource
-                cpu_hold = cpu_res.hold
                 speed = cpu.speed
                 rnd = cpu.stream._rng.random
                 mean_bot = self.instr_bot
@@ -107,11 +105,13 @@ class TransactionManager:
                             instr = -log(1.0 - rnd()) * mean_bot if mean_bot else 0.0
                             cpu.instructions_executed += instr
                             if instr:
-                                entry = cpu_hold(instr / speed)
+                                entry = hold_seq(
+                                    sim, ((cpu_res, instr / speed, None),)
+                                )
                                 try:
                                     yield entry
                                 except BaseException:
-                                    cpu_res.hold_cancel(entry)
+                                    hold_seq_cancel(entry)
                                     raise
                         for access in txn.accesses:
                             if access.page[1] == HISTORY_APPEND:
@@ -125,11 +125,13 @@ class TransactionManager:
                                     )
                                     cpu.instructions_executed += instr
                                     if instr:
-                                        entry = cpu_hold(instr / speed)
+                                        entry = hold_seq(
+                                            sim, ((cpu_res, instr / speed, None),)
+                                        )
                                         try:
                                             yield entry
                                         except BaseException:
-                                            cpu_res.hold_cancel(entry)
+                                            hold_seq_cancel(entry)
                                             raise
                             else:
                                 instr = (
@@ -139,11 +141,13 @@ class TransactionManager:
                                 )
                                 cpu.instructions_executed += instr
                                 if instr:
-                                    entry = cpu_hold(instr / speed)
+                                    entry = hold_seq(
+                                        sim, ((cpu_res, instr / speed, None),)
+                                    )
                                     try:
                                         yield entry
                                     except BaseException:
-                                        cpu_res.hold_cancel(entry)
+                                        hold_seq_cancel(entry)
                                         raise
                             grant = None
                             if access.lockable:
@@ -162,11 +166,13 @@ class TransactionManager:
                             instr = -log(1.0 - rnd()) * mean_eot if mean_eot else 0.0
                             cpu.instructions_executed += instr
                             if instr:
-                                entry = cpu_hold(instr / speed)
+                                entry = hold_seq(
+                                    sim, ((cpu_res, instr / speed, None),)
+                                )
                                 try:
                                     yield entry
                                 except BaseException:
-                                    cpu_res.hold_cancel(entry)
+                                    hold_seq_cancel(entry)
                                     raise
                             # Commit phase 0: optimistic protocols
                             # validate here and raise TransactionAborted

@@ -32,7 +32,7 @@ from repro.sim.engine import (
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import StreamRegistry
-from repro.sim.stats import Counter, StatsRegistry, Tally, TimeWeighted
+from repro.sim.stats import Counter, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
@@ -44,7 +44,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "StatsRegistry",
     "Store",
     "StreamRegistry",
     "Tally",

@@ -27,11 +27,11 @@ then drains from the lanes at deque speed.
 
 :class:`_Callback` is the other structural event-count saver: a
 pre-armed, ``__slots__``-based record whose dispatch function is
-installed as its first callback at construction.  Resource slices
-(grant -> hold -> release) schedule one ``_Callback`` at the slice end
-instead of a grant event plus a timeout, halving both the heap traffic
-and the generator resumes of the no-contention fast path (see
-:meth:`repro.sim.resources.Resource.hold`).
+installed as its first callback at construction.  A compound hold
+(grant -> hold -> release, once per leg) schedules one ``_Callback`` at
+each leg end instead of a grant event plus a timeout, halving both the
+heap traffic and the generator resumes of the no-contention fast path
+(see :func:`repro.sim.resources.hold_seq`).
 """
 
 from __future__ import annotations
@@ -200,14 +200,14 @@ class _Callback(Event):
     callback is appended behind the dispatch function, so the dispatch
     always runs first when the entry is popped.
 
-    This is the record behind the coalesced resource slice: one
-    ``_Callback`` at the slice-end timestamp replaces the grant event
+    This is the record behind :func:`repro.sim.resources.hold_seq`:
+    one ``_Callback`` at each leg-end timestamp replaces the grant event
     plus hold timeout of the event-per-step formulation (the dispatch
     releases the resource before the holder resumes, exactly where the
-    ``finally: release()`` of the two-event path ran).  A contended
-    slice parks the entry on the resource's wait queue with its
-    ``duration``; the grant arms the slice-end timer directly instead
-    of waking the holder just to start it.
+    ``finally: release()`` of the two-event path ran).  A contended leg
+    parks the entry on the resource's wait queue with its ``duration``;
+    the grant arms the leg-end timer directly instead of waking the
+    holder just to start it.
     """
 
     __slots__ = ("data", "duration")

@@ -6,6 +6,11 @@ FIFO wait queue plus built-in statistics: time-weighted busy-server and
 queue-length curves, waiting-time and service-count tallies, so that
 device utilizations and queuing delays can be reported directly.
 
+:func:`hold_seq` is the one compound hold: a sequence of legs -- a CPU
+slice, a disk I/O's CPU/controller/transfer/disk legs, a CPU held
+across a synchronous GEM access -- driven by one scheduled entry, with
+:func:`hold_seq_cancel` as its one cancel.
+
 :class:`Store` is an unbounded FIFO mailbox used for message passing
 between model components (e.g. the communication subsystem delivering
 lock requests to a remote node's lock-manager process).
@@ -27,30 +32,7 @@ from repro.sim.engine import (
 )
 from repro.sim.stats import Tally, TimeWeighted
 
-__all__ = [
-    "Resource",
-    "Store",
-    "held_chain",
-    "held_chain_cancel",
-    "hold_seq",
-    "hold_seq_cancel",
-]
-
-
-def _end_hold(event: Event) -> None:
-    """Dispatch function of a coalesced slice-end (:meth:`Resource.hold`).
-
-    Runs as the entry's first callback when the slice-end timestamp is
-    reached: returns the held unit (granting the next waiter, if any)
-    *before* the holding process resumes -- exactly where the
-    ``finally: release()`` of the event-per-step formulation ran.  A
-    slice cancelled early (holder interrupted mid-hold) already
-    released and cleared ``data``, making this a no-op.
-    """
-    resource = event.data
-    if resource is not None:
-        event.data = None
-        resource.release()
+__all__ = ["NESTED", "Resource", "Store", "hold_seq", "hold_seq_cancel"]
 
 
 class Resource:
@@ -136,8 +118,6 @@ class Resource:
             tally = self.wait_time
             tally.count += 1
             tally._zeros += 1
-            if tally._samples is not None:
-                tally._samples.append(0.0)
             self.services += 1
             event._value = self
             event._scheduled = True
@@ -181,8 +161,8 @@ class Resource:
         # change integrates the identical area, since the level is
         # constant in between, and the max cannot move).  The grant
         # accounting runs inline: wait tally, service count, then
-        # either the slice-end timer of a coalesced hold/chain entry
-        # or the grant event of a plain request.
+        # either the leg-end timer of a hold_seq entry or the grant
+        # event of a plain request.
         sim = self.sim
         now = sim.now
         event, enqueued_at = queue.popleft()
@@ -206,22 +186,11 @@ class Resource:
             tally._min = waited
         if waited > tally._max:
             tally._max = waited
-        if tally._samples is not None:
-            tally._samples.append(waited)
         self.services += 1
         if type(event) is _Callback:
-            # Coalesced hold / chain leg: arm the slice-end timer
-            # directly instead of waking the holder just to start it.
-            data = event.data
-            if type(data) is _ChainState:
-                # A held_chain leg: advance the waiting stage to its
-                # held twin (OUTER_QUEUED -> OUTER_HELD, INNER_QUEUED
-                # -> INNER_HELD, deliberately adjacent codes) so a
-                # cancel releases instead of trying to unqueue.
-                data.stage += 1
-            elif type(data) is _SeqState:
-                # A hold_seq leg: the chain now holds this resource.
-                data.holding = self
+            # A hold_seq leg: arm the leg-end timer directly instead of
+            # waking the holder just to start it.  A set ``_scheduled``
+            # tells hold_seq_cancel the unit is held, not queued.
             event._scheduled = True
             duration = event.duration
             sim._seq += 1
@@ -247,13 +216,8 @@ class Resource:
         """
         if event.triggered:
             self.release()
-            return
-        for index, (queued, _enqueued_at) in enumerate(self._queue):
-            if queued is event:
-                del self._queue[index]
-                self.queue_stat.update(len(self._queue), self.sim.now)
-                return
-        raise ValueError(f"cancel() of unknown request on {self.name!r}")
+        else:
+            _unqueue(self, event)
 
     def grab(self) -> Generator[Event, Any, None]:
         """Request a unit and wait for the grant, cancel-safe.
@@ -273,120 +237,19 @@ class Resource:
             self.cancel(request)
             raise
 
-    def hold(self, duration: float) -> Event:
-        """Coalesced slice: one scheduled entry for grant *and* end.
-
-        When a unit is free and nobody queues ahead, the grant happens
-        immediately (same statistics as an uncontended :meth:`request`,
-        ``waited = 0.0``) and a single :class:`~repro.sim.engine._Callback`
-        entry is scheduled at ``now + duration`` whose dispatch releases
-        the unit before the holder resumes.  When the resource is
-        contended, the entry joins the FIFO wait queue like a request
-        would -- but the grant (in :meth:`release`) arms the slice-end
-        timer directly instead of waking the holder just so it can
-        start a timeout.  Either way the holder suspends exactly
-        once per slice, on the slice-end entry, and the grant event of
-        the event-per-step formulation never exists.
-
-        The caller *must* guard the ``yield`` with :meth:`hold_cancel`
-        so an interrupt thrown mid-wait or mid-hold returns the unit::
-
-            entry = resource.hold(duration)
-            try:
-                yield entry
-            except BaseException:
-                resource.hold_cancel(entry)
-                raise
-        """
-        if duration < 0:
-            raise SimulationError(f"negative timeout delay: {duration!r}")
-        sim = self.sim
-        entry = _Callback.__new__(_Callback)
-        entry.sim = sim
-        entry.callbacks = [_end_hold]
-        entry._value = None
-        entry._ok = True
-        entry.data = self
-        busy = self._busy
-        if busy < self.capacity and not self._queue:
-            # Inlined uncontended grant (same float operations as the
-            # request() fast path: busy_stat.update(busy+1, now) and
-            # wait_time.record(0.0)).
-            self._busy = busy = busy + 1
-            now = sim.now
-            stat = self.busy_stat
-            stat._area += stat._value * (now - stat._last_time)
-            stat._last_time = now
-            stat._value = busy
-            if busy > stat.max:
-                stat.max = busy
-            # Deferred zero-wait record (Tally._fold): the count stays
-            # eager, the moments fold in before the next read/record.
-            tally = self.wait_time
-            tally.count += 1
-            tally._zeros += 1
-            if tally._samples is not None:
-                tally._samples.append(0.0)
-            self.services += 1
-            entry._scheduled = True
-            sim._seq += 1
-            if duration:
-                heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
-            else:
-                sim._ready.append((now, NORMAL, sim._seq, entry))
-        else:
-            # Contended: park the entry on the wait queue; ``duration``
-            # rides along for _grant_hold.  ``_scheduled`` doubles as
-            # the waiting/armed discriminator for hold_cancel.
-            entry._scheduled = False
-            entry.duration = duration
-            now = sim.now
-            queue = self._queue
-            queue.append((entry, now))
-            # Inlined queue_stat.update(len(queue), now), as in request().
-            stat = self.queue_stat
-            stat._area += stat._value * (now - stat._last_time)
-            stat._last_time = now
-            depth = len(queue)
-            stat._value = depth
-            if depth > stat.max:
-                stat.max = depth
-        return entry
-
-    def hold_cancel(self, entry: Event) -> None:
-        """Tear down a coalesced slice mid-wait or mid-hold.
-
-        Still queued: the entry is withdrawn, like :meth:`cancel` of a
-        pending request.  Already holding: the unit is returned and the
-        pending slice-end entry is disarmed in place (its dispatch
-        becomes a no-op), so the unit cannot be returned twice.  The
-        armed form is idempotent, mirroring the at-most-once
-        ``finally: release()`` of the event-per-step path.
-        """
-        if not entry._scheduled:
-            for index, (queued, _enqueued_at) in enumerate(self._queue):
-                if queued is entry:
-                    del self._queue[index]
-                    self.queue_stat.update(len(self._queue), self.sim.now)
-                    return
-            raise ValueError(f"hold_cancel() of unknown entry on {self.name!r}")
-        if entry.data is not None:
-            entry.data = None
-            self.release()
-
     def acquire(self, duration: float) -> Generator[Event, Any, None]:
         """Request a unit, hold it for ``duration``, release it.
 
-        A thin cancel-safe wrapper over :meth:`hold`: the generator
-        suspends exactly once, on the combined slice-end entry, whether
-        or not the resource is contended.  An exception thrown into the
-        generator while it waits (or holds) returns the unit.
+        The cancel-safe one-leg :func:`hold_seq`: the generator suspends
+        exactly once, on the leg-end entry, whether or not the resource
+        is contended.  An exception thrown into the generator while it
+        waits (or holds) returns the unit.
         """
-        entry = self.hold(duration)
+        entry = hold_seq(self.sim, ((self, duration, None),))
         try:
             yield entry
         except BaseException:
-            self.hold_cancel(entry)
+            hold_seq_cancel(entry)
             raise
 
     def busy_time(self, now: Optional[float] = None) -> float:
@@ -418,273 +281,87 @@ class Resource:
         )
 
 
-# -- compound held accesses -----------------------------------------------
+# -- the compound hold ----------------------------------------------------
 
+#: The legs of a :func:`hold_seq`, each ``(resource, time, kind)``.
+Legs = Tuple[Tuple[Optional[Resource], float, Any], ...]
 
-class _ChainState:
-    """Progress record of one :func:`held_chain` compound access."""
-
-    __slots__ = ("outer", "inner", "inner_time", "done", "stage", "entry")
-
-    outer: Resource
-    inner: Resource
-    inner_time: float
-    done: _Callback
-    stage: int
-    entry: _Callback
-
-
-#: :attr:`_ChainState.stage` values, in lifecycle order.
-_CHAIN_OUTER_QUEUED = 1
-_CHAIN_OUTER_HELD = 2
-_CHAIN_INNER_QUEUED = 3
-_CHAIN_INNER_HELD = 4
-_CHAIN_DONE = 5
-
-
-def _uncontended_grant(resource: Resource, now: float) -> None:
-    """Inlined uncontended grant bookkeeping (see ``request`` fast path):
-    ``busy_stat.update(busy + 1, now)``, ``wait_time.record(0.0)`` and the
-    service count, exactly the float operations of ``_grant(waited=0)``."""
-    resource._busy = busy = resource._busy + 1
-    stat = resource.busy_stat
-    stat._area += stat._value * (now - stat._last_time)
-    stat._last_time = now
-    stat._value = busy
-    if busy > stat.max:
-        stat.max = busy
-    # Deferred zero-wait record (Tally._fold): the count stays eager,
-    # the moments fold in before the next read/record.
-    tally = resource.wait_time
-    tally.count += 1
-    tally._zeros += 1
-    if tally._samples is not None:
-        tally._samples.append(0.0)
-    resource.services += 1
-
-
-def _enqueue_entry(resource: Resource, entry: _Callback, duration: float) -> None:
-    """Park a chain/hold entry on ``resource``'s FIFO wait queue."""
-    entry._scheduled = False
-    entry.duration = duration
-    now = resource.sim.now
-    queue = resource._queue
-    queue.append((entry, now))
-    # Inlined queue_stat.update(len(queue), now), as in request().
-    stat = resource.queue_stat
-    stat._area += stat._value * (now - stat._last_time)
-    stat._last_time = now
-    depth = len(queue)
-    stat._value = depth
-    if depth > stat.max:
-        stat.max = depth
-
-
-def _unqueue_entry(resource: Resource, entry: _Callback) -> None:
-    """Withdraw a still-queued chain/hold entry (cancel path)."""
-    for index, (queued, _enqueued_at) in enumerate(resource._queue):
-        if queued is entry:
-            del resource._queue[index]
-            resource.queue_stat.update(len(resource._queue), resource.sim.now)
-            return
-    raise ValueError(f"cancel of unknown chain entry on {resource.name!r}")
-
-
-def _chain_stage2(entry: Event) -> None:
-    """Outer hold elapsed: acquire the inner resource, outer kept held.
-
-    Runs as the chain entry's dispatch at ``outer-grant + outer_time``.
-    The entry is re-armed for the inner leg: granted immediately when
-    the inner resource is free, else parked on its FIFO queue (the
-    outer stays busy throughout -- a CPU waiting synchronously on the
-    GEM server, in the paper's terms).
-    """
-    state = entry.data
-    if state is None:
-        return
-    entry.callbacks = [_chain_stage3]
-    inner = state.inner
-    duration = state.inner_time
-    sim = inner.sim
-    if inner._busy < inner.capacity and not inner._queue:
-        now = sim.now
-        _uncontended_grant(inner, now)
-        state.stage = _CHAIN_INNER_HELD
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    else:
-        state.stage = _CHAIN_INNER_QUEUED
-        _enqueue_entry(inner, entry, duration)
-
-
-def _chain_stage3(entry: Event) -> None:
-    """Inner hold elapsed: release both resources, complete the chain.
-
-    Releases run innermost-first, exactly where the nested ``finally:
-    release()`` blocks of the event-per-step formulation ran; the
-    completion event's callbacks are then dispatched in place (the old
-    final timeout resumed its waiter within the same dispatch, too),
-    so the chain never schedules a separate completion event.
-    """
-    state = entry.data
-    if state is None:
-        return
-    entry.data = None
-    state.stage = _CHAIN_DONE
-    state.inner.release()
-    state.outer.release()
-    done = state.done
-    callbacks = done.callbacks
-    done.callbacks = None
-    if callbacks:
-        for callback in callbacks:
-            callback(done)
-
-
-def held_chain(
-    outer: Resource, inner: Resource, outer_time: float, inner_time: float
-) -> Event:
-    """Compound access: hold ``outer``, then ``inner`` on top of it.
-
-    Models the paper's synchronous GEM access: the CPU (``outer``) is
-    acquired and held for ``outer_time`` (the setup instructions), then
-    -- with the CPU still held -- one unit of the GEM server
-    (``inner``) is acquired, held for ``inner_time`` and released,
-    after which the CPU is released too.  Queuing at either resource is
-    FIFO alongside plain requests, and the outer stays busy while the
-    chain waits for the inner, exactly as the request/timeout/release
-    formulation behaved.
-
-    The whole chain is driven by ONE re-armed scheduled entry walking
-    grant -> outer elapsed -> inner grant -> inner elapsed through
-    dispatch callbacks; the caller's process suspends exactly once, on
-    the returned completion event, instead of once per leg.  The caller
-    *must* guard the ``yield`` with :func:`held_chain_cancel` so an
-    interrupt at any stage returns whatever is held or queued::
-
-        done = held_chain(cpu, server, setup_time, access_time)
-        try:
-            yield done
-        except BaseException:
-            held_chain_cancel(done)
-            raise
-    """
-    if outer_time < 0 or inner_time < 0:
-        raise SimulationError(
-            f"negative chain duration: {outer_time!r}, {inner_time!r}"
-        )
-    sim = outer.sim
-    done = _Callback.__new__(_Callback)
-    done.sim = sim
-    done.callbacks = []
-    done._value = None
-    done._ok = True
-    done._scheduled = True
-    entry = _Callback.__new__(_Callback)
-    entry.sim = sim
-    entry.callbacks = [_chain_stage2]
-    entry._value = None
-    entry._ok = True
-    state = _ChainState()
-    state.outer = outer
-    state.inner = inner
-    state.inner_time = inner_time
-    state.done = done
-    state.entry = entry
-    entry.data = state
-    done.data = state
-    if outer._busy < outer.capacity and not outer._queue:
-        now = sim.now
-        _uncontended_grant(outer, now)
-        state.stage = _CHAIN_OUTER_HELD
-        entry._scheduled = True
-        sim._seq += 1
-        if outer_time:
-            heappush(sim._heap, (now + outer_time, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    else:
-        state.stage = _CHAIN_OUTER_QUEUED
-        _enqueue_entry(outer, entry, outer_time)
-    return done
-
-
-def held_chain_cancel(done: Event) -> None:
-    """Tear down an in-flight :func:`held_chain` at any stage.
-
-    Returns whatever the chain currently holds and withdraws whatever
-    it queues, mirroring what the nested cancel/``finally`` blocks of
-    the event-per-step formulation did at the same instant.  Idempotent
-    and a no-op on a completed chain.
-    """
-    state = done.data
-    if state is None:
-        return
-    done.data = None
-    stage = state.stage
-    entry = state.entry
-    entry.data = None
-    if stage == _CHAIN_OUTER_QUEUED:
-        _unqueue_entry(state.outer, entry)
-    elif stage == _CHAIN_OUTER_HELD:
-        state.outer.release()
-    elif stage == _CHAIN_INNER_QUEUED:
-        _unqueue_entry(state.inner, entry)
-        state.outer.release()
-    elif stage == _CHAIN_INNER_HELD:
-        state.inner.release()
-        state.outer.release()
-
-
-# -- sequential compound accesses -----------------------------------------
+#: Leg kind of a :func:`hold_seq` leg whose resource stays held under
+#: the legs that follow it, released (innermost first) when the
+#: sequence ends -- the CPU held across a synchronous GEM access.
+NESTED: Any = object()
 
 
 class _SeqState:
-    """Progress record of one :func:`hold_seq` sequential access."""
+    """Progress record of one multi-leg :func:`hold_seq`."""
 
-    __slots__ = ("legs", "index", "holding", "done", "entry")
+    __slots__ = ("legs", "count", "index", "current", "nested", "done", "entry")
 
-    legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
+    legs: Legs
+    count: int
+    #: Legs started so far; ``legs[index - 1]`` is in flight.
     index: int
-    holding: Optional[Resource]
+    #: The in-flight leg's resource, queued for (``entry`` not
+    #: scheduled) or held; None for a pure delay.
+    current: Optional[Resource]
+    #: Resources of finished NESTED legs, still held, as a linked
+    #: stack ``(innermost, (next, ... None))``.
+    nested: Optional[Tuple[Resource, Any]]
     done: _Callback
     entry: _Callback
 
 
-def _seq_advance(entry: Event) -> None:
-    """A leg's timer fired: release its resource, start the next leg.
+def _unqueue(resource: Resource, event: Event) -> None:
+    """Withdraw a still-queued request or leg entry (cancel path)."""
+    queue = resource._queue
+    for index, (queued, _enqueued_at) in enumerate(queue):
+        if queued is event:
+            del queue[index]
+            resource.queue_stat.update(len(queue), resource.sim.now)
+            return
+    raise ValueError(f"cancel of unknown request on {resource.name!r}")
 
-    Installed as the (sole) dispatch callback of the chain entry; a
-    cancelled chain cleared ``data``, making the fire a no-op.
+
+def _one_leg_end(entry: Event) -> None:
+    """Dispatch of a one-leg :func:`hold_seq` entry at its end.
+
+    Returns the held unit (granting the next waiter, if any) *before*
+    the holder resumes -- exactly where the ``finally: release()`` of
+    the event-per-step formulation ran.  A cancelled hold cleared
+    ``data``, making this a no-op.
+    """
+    resource = entry.data
+    if resource is not None:
+        entry.data = None
+        resource.release()
+
+
+def _seq_advance(entry: Event) -> None:
+    """A leg's timer fired: end that leg, then start the next one.
+
+    The ended leg's resource is released, or kept held under the
+    following legs when the leg is NESTED.  Past the last leg every
+    NESTED resource is released innermost-first and the ``done``
+    event's callbacks run inline, exactly where the last release of the
+    step-per-leg formulation resumed its waiter.
     """
     state = entry.data
     if state is None:
         return
-    holding = state.holding
-    if holding is not None:
-        state.holding = None
-        holding.release()
-    _seq_start(state, entry)
-
-
-def _seq_start(state: _SeqState, entry: _Callback) -> None:
-    """Start leg ``state.index`` (or complete the chain past the end).
-
-    A resource leg is granted immediately when free (arming the
-    leg-end timer) or parked on the resource's FIFO queue -- the grant
-    in :meth:`Resource.release` then arms the timer and records the
-    grant in ``state.holding``.  A ``None`` resource is a pure delay.
-    On completion the ``done`` event's callbacks run inline, exactly
-    where the last leg's release of the step-per-leg formulation
-    resumed its waiter.
-    """
     legs = state.legs
     index = state.index
-    if index == len(legs):
+    current = state.current
+    if current is not None:
+        if legs[index - 1][2] is NESTED:
+            state.nested = (current, state.nested)
+        else:
+            current.release()
+    if index == state.count:
         entry.data = None
+        nested = state.nested
+        while nested is not None:
+            resource, nested = nested
+            resource.release()
         done = state.done
         done.data = None
         callbacks = done.callbacks
@@ -695,119 +372,197 @@ def _seq_start(state: _SeqState, entry: _Callback) -> None:
         return
     state.index = index + 1
     # Re-arm: the run loop consumed the callbacks list when the entry
-    # fired, so every leg installs a fresh dispatch.
+    # fired, so every leg installs a fresh dispatch.  The leg then
+    # starts with hold_seq's first-leg code, inlined in both places: a
+    # shared helper would cost every hold, the one-leg CPU slice
+    # included, one more call.
     entry.callbacks = [_seq_advance]
-    resource, duration, stream = legs[index]
-    if stream is not None:
-        # Lazy service-time draw, at the instant the event-per-step
-        # formulation called ``acquire(stream.exponential(t))`` -- the
-        # interleaving of draws on a shared stream is preserved.
-        duration = stream.exponential(duration)
-    if resource is None:
-        sim = entry.sim
-        now = sim.now
-        entry._scheduled = True
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
+    resource, duration, kind = legs[index]
+    if kind is not None and kind is not NESTED:
+        duration = kind.exponential(duration)
+    state.current = resource
+    sim = entry.sim
+    now = sim.now
+    if resource is not None:
+        busy = resource._busy
+        if busy < resource.capacity and not resource._queue:
+            resource._busy = busy = busy + 1
+            stat = resource.busy_stat
+            stat._area += stat._value * (now - stat._last_time)
+            stat._last_time = now
+            stat._value = busy
+            if busy > stat.max:
+                stat.max = busy
+            tally = resource.wait_time
+            tally.count += 1
+            tally._zeros += 1
+            resource.services += 1
         else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
-    elif resource._busy < resource.capacity and not resource._queue:
-        sim = resource.sim
-        now = sim.now
-        _uncontended_grant(resource, now)
-        state.holding = resource
-        entry._scheduled = True
-        sim._seq += 1
-        if duration:
-            heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
-        else:
-            sim._ready.append((now, NORMAL, sim._seq, entry))
+            entry._scheduled = False
+            entry.duration = duration
+            queue = resource._queue
+            queue.append((entry, now))
+            stat = resource.queue_stat
+            stat._area += stat._value * (now - stat._last_time)
+            stat._last_time = now
+            depth = len(queue)
+            stat._value = depth
+            if depth > stat.max:
+                stat.max = depth
+            return
+    entry._scheduled = True
+    sim._seq += 1
+    if duration:
+        heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
     else:
-        _enqueue_entry(resource, entry, duration)
+        sim._ready.append((now, NORMAL, sim._seq, entry))
 
 
-def hold_seq(
-    sim: Simulator, legs: Tuple[Tuple[Optional[Resource], float, Any], ...]
-) -> Event:
-    """Sequential compound access: hold each leg in turn, one resume.
+def hold_seq(sim: Simulator, legs: Legs) -> Event:
+    """The compound hold: hold each leg in turn, one resume.
 
-    Each leg is ``(resource, time, stream)``: the resource is acquired
-    (FIFO alongside plain requests), held and released before the next
-    leg starts; a ``None`` resource is a plain delay.  With a ``None``
-    stream the leg lasts exactly ``time``; otherwise the duration is
-    drawn as ``stream.exponential(time)`` when the leg *starts* -- the
-    same instant the event-per-step formulation sampled it -- so the
-    interleaving of draws on a shared stream is unchanged.
+    Each leg is ``(resource, time, kind)``.  The resource is acquired
+    (FIFO alongside plain requests) and held for the leg; a ``None``
+    resource is a plain delay.  ``kind`` picks the leg's shape:
 
-    This is the disk I/O shape -- CPU setup slice, controller service,
-    bus transfer, disk service -- where the event-per-step formulation
-    suspends the caller once per leg.  The whole chain is driven by ONE
-    re-armed scheduled entry; the caller suspends exactly once, on the
-    returned completion event.  Queueing, grant statistics, RNG draws
-    and release instants are identical to the step-per-leg formulation.
+    * ``None`` -- held for exactly ``time``, released before the next
+      leg starts (a CPU slice; a disk I/O's controller or disk leg);
+    * a :class:`~repro.sim.rng.Stream` -- held for
+      ``stream.exponential(time)``, drawn when the leg *starts*, the
+      instant the event-per-step formulation sampled it, so the
+      interleaving of draws on a shared stream is unchanged;
+    * :data:`NESTED` -- held for exactly ``time`` and then kept held
+      under every following leg, released innermost-first when the
+      sequence ends (the paper's synchronous GEM access: the CPU stays
+      busy while the access queues for and holds the GEM server).
+
+    ONE scheduled entry walks the whole sequence, fired once per leg;
+    the caller suspends exactly once, on the returned completion event.
+    Queueing, grant statistics, RNG draws and release instants are
+    those of the step-per-leg formulation.  A one-leg sequence returns
+    its armed entry itself as the completion event: no separate
+    completion event and no progress record.
 
     The caller *must* guard the ``yield`` with :func:`hold_seq_cancel`
     so an interrupt at any stage returns whatever is held or queued::
 
-        done = hold_seq(sim, ((cpu, setup, None), (ctrl, t1, s), (None, xfer, None)))
+        done = hold_seq(sim, ((cpu, setup, NESTED), (gem, access, None)))
         try:
             yield done
         except BaseException:
             hold_seq_cancel(done)
             raise
     """
-    for _resource, duration, stream in legs:
-        if stream is None and duration < 0:
+    count = 0
+    for _resource, duration, _kind in legs:
+        count += 1
+        if duration < 0:
             raise SimulationError(f"negative leg duration: {duration!r}")
-    done = _Callback.__new__(_Callback)
-    done.sim = sim
-    done.callbacks = []
-    done._value = None
-    done._ok = True
-    done._scheduled = True
+    resource, duration, kind = legs[0]
     entry = _Callback.__new__(_Callback)
     entry.sim = sim
-    entry.callbacks = [_seq_advance]
     entry._value = None
     entry._ok = True
-    entry._scheduled = False
-    state = _SeqState()
-    state.legs = legs
-    state.index = 0
-    state.holding = None
-    state.done = done
-    state.entry = entry
-    entry.data = state
-    done.data = state
-    _seq_start(state, entry)
+    done: _Callback
+    if count == 1:
+        entry.callbacks = [_one_leg_end]
+        entry.data = resource
+        done = entry
+    else:
+        entry.callbacks = [_seq_advance]
+        done = _Callback.__new__(_Callback)
+        done.sim = sim
+        done.callbacks = []
+        done._value = None
+        done._ok = True
+        done._scheduled = True
+        state = _SeqState()
+        state.legs = legs
+        state.count = count
+        state.index = 1
+        state.current = resource
+        state.nested = None
+        state.done = done
+        state.entry = entry
+        entry.data = state
+        done.data = state
+    if kind is not None and kind is not NESTED:
+        duration = kind.exponential(duration)
+    now = sim.now
+    if resource is not None:
+        busy = resource._busy
+        if busy < resource.capacity and not resource._queue:
+            # Uncontended grant: the request() fast path's float
+            # operations (busy_stat.update(busy + 1, now), deferred
+            # zero-wait record, service count).
+            resource._busy = busy = busy + 1
+            stat = resource.busy_stat
+            stat._area += stat._value * (now - stat._last_time)
+            stat._last_time = now
+            stat._value = busy
+            if busy > stat.max:
+                stat.max = busy
+            tally = resource.wait_time
+            tally.count += 1
+            tally._zeros += 1
+            resource.services += 1
+        else:
+            # Contended: park the entry on the FIFO wait queue with its
+            # duration; the grant in Resource.release arms the timer.
+            entry._scheduled = False
+            entry.duration = duration
+            queue = resource._queue
+            queue.append((entry, now))
+            stat = resource.queue_stat
+            stat._area += stat._value * (now - stat._last_time)
+            stat._last_time = now
+            depth = len(queue)
+            stat._value = depth
+            if depth > stat.max:
+                stat.max = depth
+            return done
+    entry._scheduled = True
+    sim._seq += 1
+    if duration:
+        heappush(sim._heap, (now + duration, NORMAL, sim._seq, entry))
+    else:
+        sim._ready.append((now, NORMAL, sim._seq, entry))
     return done
 
 
 def hold_seq_cancel(done: Event) -> None:
     """Tear down an in-flight :func:`hold_seq` at any stage.
 
-    Releases a held leg, withdraws a queued one, disarms a pure-delay
-    leg in place.  Idempotent and a no-op on a completed chain.
+    Withdraws the in-flight leg's entry if it is queued, releases the
+    leg's unit if held, then releases every NESTED unit held under it,
+    innermost first -- what the nested cancel/``finally`` blocks of the
+    event-per-step formulation did at the same instant.  A pure-delay
+    leg's entry is disarmed in place and fires as a no-op.  Idempotent,
+    and a no-op on a completed sequence.
     """
     state = done.data
     if state is None:
         return
     done.data = None
+    if type(state) is not _SeqState:
+        # One leg: ``done`` is the entry itself, ``state`` its resource.
+        if done._scheduled:
+            state.release()
+        else:
+            _unqueue(state, done)
+        return
     entry = state.entry
     entry.data = None
-    holding = state.holding
-    if holding is not None:
-        state.holding = None
-        holding.release()
-    elif not entry._scheduled:
-        # Queued at the current leg's resource (only resource legs
-        # enqueue, so the leg cannot be a pure delay).
-        resource = state.legs[state.index - 1][0]
-        assert resource is not None
-        _unqueue_entry(resource, entry)
-    # else: a pure-delay leg is in flight; the disarmed entry fires as
-    # a no-op.
+    current = state.current
+    if current is not None:
+        if entry._scheduled:
+            current.release()
+        else:
+            _unqueue(current, entry)
+    nested = state.nested
+    while nested is not None:
+        resource, nested = nested
+        resource.release()
 
 
 class Store:

@@ -4,7 +4,7 @@ Three collector types cover everything the model reports:
 
 * :class:`Counter` -- monotonically increasing occurrence counts.
 * :class:`Tally` -- per-observation statistics (mean, variance, min,
-  max, optional percentiles), e.g. response times.
+  max), e.g. response times.
 * :class:`TimeWeighted` -- time-integrated statistics for state
   variables such as queue lengths or busy servers; its mean over an
   interval is the time average (utilization when the variable is the
@@ -18,14 +18,9 @@ steady-state simulation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-try:  # Optional vectorized path for bulk consumers (see update_many).
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None  # type: ignore[assignment]
-
-__all__ = ["Counter", "Tally", "TimeWeighted", "StatsRegistry"]
+__all__ = ["Counter", "Tally", "TimeWeighted"]
 
 
 class Counter:
@@ -50,9 +45,6 @@ class Counter:
 class Tally:
     """Per-observation statistics with Welford's online algorithm.
 
-    If ``keep_samples`` is true, all observations are retained so that
-    percentiles can be computed; otherwise only the moments are kept.
-
     Zero-valued observations may be recorded *deferred*: a caller on a
     hot path increments ``count`` and ``_zeros`` instead of running the
     full Welford update (see ``Resource``'s uncontended grants, where
@@ -64,9 +56,9 @@ class Tally:
     float rounding of the intermediate sums differs).
     """
 
-    __slots__ = ("name", "count", "_mean", "_m2", "_min", "_max", "_zeros", "_samples")
+    __slots__ = ("name", "count", "_mean", "_m2", "_min", "_max", "_zeros")
 
-    def __init__(self, name: str = "", keep_samples: bool = False) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
         self.count = 0
         self._mean = 0.0
@@ -74,7 +66,6 @@ class Tally:
         self._min = math.inf
         self._max = -math.inf
         self._zeros = 0
-        self._samples: Optional[List[float]] = [] if keep_samples else None
 
     def _fold(self) -> None:
         """Fold deferred zero observations into the moments.
@@ -113,40 +104,6 @@ class Tally:
             self._min = value
         if value > self._max:
             self._max = value
-        if self._samples is not None:
-            self._samples.append(value)
-
-    def record_many(self, values: Sequence[float]) -> None:
-        """Record a batch of observations in one call.
-
-        Bit-identical to calling :meth:`record` per value (Welford's
-        update is order-dependent, so there is no vectorized shortcut
-        that preserves exactness); the win is one call and locals-bound
-        accumulation instead of attribute traffic per observation.
-        """
-        if self._zeros:
-            self._fold()
-        count = self.count
-        mean = self._mean
-        m2 = self._m2
-        lo = self._min
-        hi = self._max
-        for value in values:
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-        self.count = count
-        self._mean = mean
-        self._m2 = m2
-        self._min = lo
-        self._max = hi
-        if self._samples is not None:
-            self._samples.extend(values)
 
     @property
     def mean(self) -> float:
@@ -183,26 +140,6 @@ class Tally:
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 
-    def percentile(self, q: float) -> float:
-        """Return the ``q``-quantile (0 <= q <= 1) of retained samples."""
-        if self._samples is None:
-            raise ValueError("Tally was created without keep_samples=True")
-        if not self._samples:
-            return 0.0
-        data = sorted(self._samples)
-        if q <= 0:
-            return data[0]
-        if q >= 1:
-            return data[-1]
-        pos = q * (len(data) - 1)
-        lower = int(pos)
-        frac = pos - lower
-        if lower + 1 >= len(data):
-            return data[-1]
-        # data[a] + frac * (data[b] - data[a]) is exact for equal
-        # neighbours (the symmetric form can exceed them by one ulp).
-        return data[lower] + frac * (data[lower + 1] - data[lower])
-
     def summary(self) -> Dict[str, Optional[float]]:
         """JSON-safe summary dict (no ``inf`` even when empty)."""
         return {
@@ -220,8 +157,6 @@ class Tally:
         self._min = math.inf
         self._max = -math.inf
         self._zeros = 0
-        if self._samples is not None:
-            self._samples = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tally({self.name!r}, n={self.count}, mean={self.mean:.6g})"
@@ -260,64 +195,6 @@ class TimeWeighted:
     def add(self, delta: float, now: float) -> None:
         self.update(self._value + delta, now)
 
-    def update_many(
-        self,
-        values: Sequence[float],
-        times: Sequence[float],
-        exact: bool = True,
-    ) -> None:
-        """Apply a batch of ``(value, time)`` updates in one call.
-
-        With ``exact=True`` (the default) the result is bit-identical
-        to calling :meth:`update` pairwise; the accumulation just runs
-        on locals.  With ``exact=False`` and numpy available, the area
-        integral is computed as a vectorized dot product -- the value
-        can differ from the sequential loop by floating-point summation
-        order, so simulation code must never pass ``exact=False``; the
-        relaxation exists for offline trace ingestion and the perf
-        harness, where throughput matters and bit-replay does not.
-        """
-        if len(values) != len(times):
-            raise ValueError("values and times must have equal length")
-        if not len(values):
-            return
-        if exact or _np is None:
-            value = self._value
-            last = self._last_time
-            area = self._area
-            peak = self.max
-            for new_value, now in zip(values, times):
-                if now < last:
-                    raise ValueError("time moved backwards")
-                area += value * (now - last)
-                last = now
-                value = new_value
-                if new_value > peak:
-                    peak = new_value
-            self._area = area
-            self._last_time = last
-            self._value = value
-            self.max = peak
-            return
-        t = _np.asarray(times, dtype=float)
-        v = _np.asarray(values, dtype=float)
-        if t[0] < self._last_time or bool((_np.diff(t) < 0.0).any()):
-            raise ValueError("time moved backwards")
-        # The piecewise-constant value *before* times[i] applies over
-        # the interval (times[i-1], times[i]).
-        prev = _np.empty_like(v)
-        prev[0] = self._value
-        prev[1:] = v[:-1]
-        starts = _np.empty_like(t)
-        starts[0] = self._last_time
-        starts[1:] = t[:-1]
-        self._area += float(_np.dot(prev, t - starts))
-        self._last_time = float(t[-1])
-        self._value = float(v[-1])
-        peak_batch = float(v.max())
-        if peak_batch > self.max:
-            self.max = peak_batch
-
     def time_average(self, now: float) -> float:
         elapsed = now - self._start_time
         if elapsed <= 0:
@@ -338,40 +215,3 @@ class TimeWeighted:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TimeWeighted({self.name!r}, value={self._value})"
 
-
-class StatsRegistry:
-    """A named collection of collectors with bulk reset.
-
-    Model components create their collectors through a registry so a
-    run controller can discard the warm-up phase for all of them at
-    once and enumerate them for reporting.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.tallies: Dict[str, Tally] = {}
-        self.time_weighted: Dict[str, TimeWeighted] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def tally(self, name: str, keep_samples: bool = False) -> Tally:
-        if name not in self.tallies:
-            self.tallies[name] = Tally(name, keep_samples=keep_samples)
-        return self.tallies[name]
-
-    def timeweighted(self, name: str, initial: float = 0.0, now: float = 0.0) -> TimeWeighted:
-        if name not in self.time_weighted:
-            self.time_weighted[name] = TimeWeighted(name, initial=initial, now=now)
-        return self.time_weighted[name]
-
-    def reset_all(self, now: float) -> None:
-        """Reset every collector (used to discard the warm-up phase)."""
-        for counter in self.counters.values():
-            counter.reset()
-        for tally in self.tallies.values():
-            tally.reset()
-        for stat in self.time_weighted.values():
-            stat.reset(now)

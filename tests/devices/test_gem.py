@@ -29,7 +29,7 @@ class TestAccessTimes:
         done = []
 
         def proc():
-            yield from gem.access_entry()
+            yield from gem.access_entries(1)
             done.append(sim.now)
 
         sim.process(proc())
@@ -114,7 +114,7 @@ class TestQueuing:
 
         def proc():
             yield from gem.access_page()
-            yield from gem.access_entry()
+            yield from gem.access_entries(1)
 
         sim.process(proc())
         sim.run()

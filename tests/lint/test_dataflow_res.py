@@ -3,8 +3,8 @@
 Each bad fixture must fire the expected rule at the expected line and
 column; each good fixture is the same hazard written the canonical way
 and must stay clean.  The fixtures mirror the patterns in
-``repro.sim.resources``: request/cancel/release, hold/hold_cancel and
-``grab()``.
+``repro.sim.resources``: request/cancel/release, hold_seq/hold_seq_cancel
+and ``grab()``.
 """
 
 import textwrap
@@ -37,8 +37,8 @@ class TestRES001PendingEscape:
     def test_unguarded_hold_wait_is_pending_on_interrupt(self):
         findings = lint_src(
             """\
-            def pause(resource, duration):
-                entry = resource.hold(duration)
+            def pause(sim, legs):
+                entry = hold_seq(sim, legs)
                 yield entry
             """
         )
@@ -47,12 +47,12 @@ class TestRES001PendingEscape:
     def test_hold_guarded_by_cancel_is_clean(self):
         findings = lint_src(
             """\
-            def pause(resource, duration):
-                entry = resource.hold(duration)
+            def pause(sim, legs):
+                entry = hold_seq(sim, legs)
                 try:
                     yield entry
                 except BaseException:
-                    resource.hold_cancel(entry)
+                    hold_seq_cancel(entry)
                     raise
             """
         )
@@ -78,9 +78,9 @@ class TestRES002HeldLeak:
     def test_missing_release_on_exception_path(self):
         findings = lint_src(
             """\
-            def use(resource, duration):
+            def use(resource, sim, legs):
                 yield from resource.grab()
-                yield resource.hold(duration)
+                yield hold_seq(sim, legs)
                 resource.release()
             """
         )
@@ -172,11 +172,11 @@ class TestHeldChainHelpers:
     def test_held_chain_without_cancel_guard_fires(self):
         findings = lint_src(
             """\
-            from repro.sim.resources import held_chain, held_chain_cancel
+            from repro.sim.resources import NESTED, hold_seq, hold_seq_cancel
 
 
-            def pipeline(resources, duration):
-                chain = held_chain(resources, duration)
+            def pipeline(sim, cpu, gem, setup, access):
+                chain = hold_seq(sim, ((cpu, setup, NESTED), (gem, access, None)))
                 yield chain
             """
         )
@@ -185,15 +185,15 @@ class TestHeldChainHelpers:
     def test_held_chain_with_cancel_guard_is_clean(self):
         findings = lint_src(
             """\
-            from repro.sim.resources import held_chain, held_chain_cancel
+            from repro.sim.resources import NESTED, hold_seq, hold_seq_cancel
 
 
-            def pipeline(resources, duration):
-                chain = held_chain(resources, duration)
+            def pipeline(sim, cpu, gem, setup, access):
+                chain = hold_seq(sim, ((cpu, setup, NESTED), (gem, access, None)))
                 try:
                     yield chain
                 except BaseException:
-                    held_chain_cancel(chain)
+                    hold_seq_cancel(chain)
                     raise
             """
         )
@@ -204,12 +204,12 @@ class TestRESAcrossControlFlow:
     def test_leak_only_on_one_if_branch_still_fires(self):
         findings = lint_src(
             """\
-            def use(resource, flag, duration):
-                entry = resource.hold(duration)
+            def use(sim, flag, legs):
+                entry = hold_seq(sim, legs)
                 if flag:
                     yield entry
                 else:
-                    resource.hold_cancel(entry)
+                    hold_seq_cancel(entry)
             """
         )
         # The taken branch leaves the obligation pending at exit.
@@ -218,13 +218,13 @@ class TestRESAcrossControlFlow:
     def test_loop_reacquire_is_clean(self):
         findings = lint_src(
             """\
-            def poll(resource, duration, times):
+            def poll(sim, legs, times):
                 for _ in range(times):
-                    entry = resource.hold(duration)
+                    entry = hold_seq(sim, legs)
                     try:
                         yield entry
                     except BaseException:
-                        resource.hold_cancel(entry)
+                        hold_seq_cancel(entry)
                         raise
             """
         )

@@ -67,7 +67,7 @@ class TestConsume:
         done = []
 
         def proc():
-            yield from pool.consume_exp(10_000)
+            yield from pool.consume(pool.stream.exponential(10_000))
             done.append(sim.now)
 
         for _ in range(800):
@@ -93,7 +93,7 @@ class TestCompoundHold:
         log = []
 
         def holder():
-            yield pool.request()
+            yield from pool.grab()
             try:
                 yield pool.busy_work(10_000)  # 1ms while holding
                 yield sim.timeout(0.005)  # synchronous device access

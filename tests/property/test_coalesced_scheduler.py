@@ -1,23 +1,25 @@
 """The coalesced scheduler must be observably event-per-step equivalent.
 
-``Resource.hold``, :func:`~repro.sim.resources.hold_seq` and
-:func:`~repro.sim.resources.held_chain` replace the old
-request/timeout/release generators with ONE re-armed scheduled entry
-per compound operation -- that is where the event-count reduction comes
-from.  The contract is that this is purely mechanical: every process
-must observe the same grant order, the same completion instants and the
-same resource statistics as the event-per-step formulation it replaced.
-These properties drive both formulations over the same randomized
-workloads on twin simulators and require exact agreement.
+:func:`~repro.sim.resources.hold_seq` -- one-leg, sequential and NESTED
+legs alike -- replaces the old request/timeout/release generators with
+ONE re-armed scheduled entry per compound operation -- that is where
+the event-count reduction comes from.  The contract is that this is
+purely mechanical: every process must observe the same grant order, the
+same completion instants and the same resource statistics as the
+event-per-step formulation it replaced, and an interrupt at any stage
+must leave the resources exactly as the event-per-step formulation's
+cancel/``finally`` blocks do.  These properties drive both formulations
+over the same randomized workloads on twin simulators and require exact
+agreement.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.resources import Resource, held_chain, hold_seq
+from repro.sim.resources import NESTED, Resource, hold_seq, hold_seq_cancel
 
 short_floats = st.floats(
     min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False
@@ -75,7 +77,7 @@ class TestHoldEquivalence:
             def worker(tag, start, duration):
                 yield sim.timeout(start)
                 if coalesced:
-                    yield resource.hold(duration)
+                    yield hold_seq(sim, ((resource, duration, None),))
                 else:
                     yield from reference_hold(sim, resource, duration)
                 completions[tag] = sim.now
@@ -106,7 +108,7 @@ class TestHoldEquivalence:
             def worker(start, duration):
                 yield sim.timeout(start)
                 if coalesced:
-                    yield resource.hold(duration)
+                    yield hold_seq(sim, ((resource, duration, None),))
                 else:
                     yield from reference_hold(sim, resource, duration)
 
@@ -188,7 +190,10 @@ class TestHeldChainEquivalence:
             def worker(tag, start, outer_time, inner_time):
                 yield sim.timeout(start)
                 if coalesced:
-                    yield held_chain(outer, inner, outer_time, inner_time)
+                    yield hold_seq(
+                        sim,
+                        ((outer, outer_time, NESTED), (inner, inner_time, None)),
+                    )
                 else:
                     request = outer.request()
                     yield request
@@ -214,6 +219,197 @@ class TestHeldChainEquivalence:
         slow, slow_busy = run(coalesced=False)
         assert fast == slow
         assert math.isclose(fast_busy, slow_busy, rel_tol=1e-9, abs_tol=1e-12)
+
+
+class _Stop(Exception):
+    """Interrupt cause thrown into a worker; a clean process end."""
+
+    unhandled_ok = True
+
+
+def reference_seq(sim, legs):
+    """Event-per-step twin of ``hold_seq``: grab/timeout/release per leg.
+
+    A NESTED leg keeps its unit across the remaining legs, released by
+    the ``finally`` around them -- innermost first, on every path.
+    """
+    if not legs:
+        return
+    (resource, duration, kind), rest = legs[0], legs[1:]
+    if resource is None:
+        yield sim.timeout(duration)
+        yield from reference_seq(sim, rest)
+        return
+    yield from resource.grab()
+    try:
+        yield sim.timeout(duration)
+        if kind is NESTED:
+            yield from reference_seq(sim, rest)
+    finally:
+        resource.release()
+    if kind is not NESTED:
+        yield from reference_seq(sim, rest)
+
+
+cancel_legs = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),  # NESTED (resource legs only)
+    ),
+    min_size=1,
+    max_size=4,
+)
+cancel_workers = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # start delay
+        cancel_legs,
+        st.integers(min_value=0, max_value=2),  # tail after the hold
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+        st.booleans(),  # cancel twice
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _queued_behind(blocked, legs, at):
+    """Worker 0 holds resource ``blocked`` for 3; worker 1 runs ``legs``
+    and is interrupted at ``at + 0.5``."""
+    return [(0, [(blocked, 3, False)], 0, None, False), (0, legs, 0, at, False)]
+
+
+def _build_legs(resources, tag, legs):
+    """Leg specs -> ``hold_seq`` legs, deadlock- and tie-free.
+
+    Units held under later legs are taken in ascending resource order:
+    a leg on a resource at or below a held NESTED one becomes a pure
+    delay, so no chain can wait for a unit it (or a waiter on it) holds.
+    Each leg's whole-unit duration gets its own power-of-two offset
+    below 2**-9, so no two workers' leg ends ever coincide, nor does any
+    leg end fall on a whole or half unit (starts and interrupts): the
+    coalesced path schedules its timers with fewer same-instant hops
+    than the twin, so their FIFO tie-breaks are not comparable.
+    """
+    built = []
+    floor = -1
+    for position, (index, duration, nested) in enumerate(legs):
+        if index is not None and index <= floor:
+            index = None
+        kind = None
+        if nested and index is not None:
+            kind = NESTED
+            floor = index
+        resource = None if index is None else resources[index]
+        offset = 2.0 ** -(10 + 5 * tag + position)
+        built.append((resource, duration + offset, kind))
+    return tuple(built)
+
+
+class TestHoldSeqCancellation:
+    @given(cancel_workers)
+    @settings(max_examples=80, deadline=None)
+    # One example per stage an interrupt can hit.  Queued at a leg:
+    @example(_queued_behind(0, [(0, 1, False)], at=0))
+    # holding a leg (twice cancelled):
+    @example([(0, [(0, 3, False)], 0, 1, True)])
+    # a NESTED unit held, queued at the inner leg:
+    @example(_queued_behind(1, [(0, 1, True), (1, 1, False)], at=1))
+    # a NESTED unit held, holding the inner leg:
+    @example([(0, [(0, 1, True), (1, 2, False)], 0, 1, False)])
+    # a NESTED unit held across a pure-delay leg:
+    @example([(0, [(0, 1, True), (None, 2, False)], 0, 1, False)])
+    # after completion, inside the same cancel guard (twice cancelled):
+    @example([(0, [(0, 1, True), (1, 1, False)], 2, 2, True)])
+    def test_interrupt_at_any_stage_matches_try_finally_twin(self, workers):
+        def run(coalesced):
+            sim = Simulator()
+            resources = [Resource(sim, capacity=1) for _ in range(3)]
+            log = {}
+
+            def worker(tag, start, legs, tail, cancel_twice):
+                yield sim.timeout(start)
+                if coalesced:
+                    done = hold_seq(sim, legs)
+                    try:
+                        yield done
+                        yield sim.timeout(tail)
+                    except BaseException:
+                        hold_seq_cancel(done)
+                        if cancel_twice:
+                            # simlint: disable-next=RES003 -- idempotence under test
+                            hold_seq_cancel(done)
+                        log[tag] = ("cancelled", sim.now)
+                        raise
+                else:
+                    try:
+                        yield from reference_seq(sim, legs)
+                        yield sim.timeout(tail)
+                    except BaseException:
+                        log[tag] = ("cancelled", sim.now)
+                        raise
+                log[tag] = ("done", sim.now)
+
+            def interrupter(process, at):
+                yield sim.timeout(at)
+                process.interrupt(_Stop())
+
+            for tag, (start, legs, tail, at, twice) in enumerate(workers):
+                legs = _build_legs(resources, tag, legs)
+                process = sim.process(worker(tag, start, legs, tail, twice))
+                if at is not None:
+                    # Half-integer instants never tie with a leg end.
+                    sim.process(interrupter(process, at + 0.5))
+            sim.run()
+            for resource in resources:
+                assert resource.busy == 0
+                assert resource.queue_length == 0
+            # Not sim.now: a cancelled hold's disarmed entry still fires
+            # (as a no-op) at its old leg end.
+            return log, [(r.services, r.wait_time.count) for r in resources]
+
+        assert run(coalesced=True) == run(coalesced=False)
+
+    def test_cancel_releases_innermost_first(self):
+        """The interrupted holder's units go back inner leg first: the
+        inner leg's waiter is granted -- and, with equal service times,
+        finishes -- before the waiter on the NESTED unit."""
+
+        def run(coalesced):
+            sim = Simulator()
+            outer = Resource(sim, capacity=1)
+            inner = Resource(sim, capacity=1)
+            finished = []
+
+            def victim():
+                legs = ((outer, 1.0, NESTED), (inner, 3.0, None))
+                if coalesced:
+                    done = hold_seq(sim, legs)
+                    try:
+                        yield done
+                    except BaseException:
+                        hold_seq_cancel(done)
+                        raise
+                else:
+                    yield from reference_seq(sim, legs)
+
+            def waiter(tag, start, resource):
+                yield sim.timeout(start)
+                yield from resource.acquire(1.0)
+                finished.append((tag, sim.now))
+
+            def interrupter(process):
+                yield sim.timeout(1.5)
+                process.interrupt(_Stop())
+
+            sim.process(interrupter(sim.process(victim())))
+            sim.process(waiter("outer", 0.25, outer))
+            sim.process(waiter("inner", 1.25, inner))
+            sim.run()
+            return finished
+
+        expected = [("inner", 2.5), ("outer", 2.5)]
+        assert run(coalesced=True) == run(coalesced=False) == expected
 
 
 class TestSameTimestampOrdering:
@@ -243,7 +439,7 @@ class TestSameTimestampOrdering:
                 event.callbacks.append(lambda _e, t=tag: fired.append(t))
                 sim._schedule(event, 0.0, priority=URGENT)
             elif kind == "hold":
-                entry = Resource(sim, capacity=1).hold(0.0)
+                entry = hold_seq(sim, ((Resource(sim, capacity=1), 0.0, None),))
                 entry.callbacks.append(lambda _e, t=tag: fired.append(t))
             else:
                 timer = sim.timeout(0.0)
@@ -262,7 +458,7 @@ class TestSameTimestampOrdering:
         order = []
 
         def worker(tag):
-            yield resource.hold(1.0)
+            yield hold_seq(sim, ((resource, 1.0, None),))
             order.append(tag)
 
         for tag in range(len(writers)):
@@ -278,7 +474,7 @@ class TestStepRunEquivalence:
         def build(sim, resource, log):
             def worker(tag, start, duration):
                 yield sim.timeout(start)
-                yield resource.hold(duration)
+                yield hold_seq(sim, ((resource, duration, None),))
                 log.append((tag, sim.now))
 
             for tag, (start, duration) in enumerate(schedule):
@@ -309,7 +505,7 @@ class TestStepRunEquivalence:
 
             def worker(tag, start, duration):
                 yield sim.timeout(start)
-                yield resource.hold(duration)
+                yield hold_seq(sim, ((resource, duration, None),))
                 log.append((tag, sim.now))
 
             for tag, (start, duration) in enumerate(schedule):

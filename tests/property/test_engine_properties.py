@@ -110,18 +110,6 @@ class TestStatsProperties:
         area += value * 1.0
         assert tw.time_average(horizon) == pytest_approx(area / horizon)
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e3,
-                              allow_nan=False), min_size=2, max_size=100),
-           st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=60)
-    def test_percentiles_bounded_and_monotonic(self, values, q):
-        tally = Tally(keep_samples=True)
-        for value in values:
-            tally.record(value)
-        p = tally.percentile(q)
-        assert min(values) <= p <= max(values)
-        assert tally.percentile(0.0) <= tally.percentile(1.0)
-
 
 def pytest_approx(value):
     import pytest

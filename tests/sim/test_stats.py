@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.sim import Counter, StatsRegistry, Tally, TimeWeighted
+from repro.sim import Counter, Tally, TimeWeighted
 
 
 class TestCounter:
@@ -52,32 +52,12 @@ class TestTally:
         t.record(5.0)
         assert t.variance == 0.0
 
-    def test_percentile_requires_samples(self):
-        t = Tally()
-        t.record(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(0.5)
-
-    def test_percentiles(self):
-        t = Tally(keep_samples=True)
-        for value in [10.0, 20.0, 30.0, 40.0, 50.0]:
-            t.record(value)
-        assert t.percentile(0.0) == 10.0
-        assert t.percentile(1.0) == 50.0
-        assert t.percentile(0.5) == 30.0
-        assert t.percentile(0.25) == pytest.approx(20.0)
-
-    def test_percentile_empty(self):
-        t = Tally(keep_samples=True)
-        assert t.percentile(0.5) == 0.0
-
     def test_reset(self):
-        t = Tally(keep_samples=True)
+        t = Tally()
         t.record(3.0)
         t.reset()
         assert t.count == 0
         assert t.mean == 0.0
-        assert t.percentile(0.5) == 0.0
 
 
 class TestTimeWeighted:
@@ -116,24 +96,6 @@ class TestTimeWeighted:
         assert tw.value == 10.0
         assert tw.time_average(now=2.0) == pytest.approx(10.0)
         assert tw.max == 10.0
-
-
-class TestStatsRegistry:
-    def test_collectors_are_memoized(self):
-        reg = StatsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.tally("b") is reg.tally("b")
-        assert reg.timeweighted("c") is reg.timeweighted("c")
-
-    def test_reset_all(self):
-        reg = StatsRegistry()
-        reg.counter("a").increment(3)
-        reg.tally("b").record(1.0)
-        reg.timeweighted("c").update(5.0, now=1.0)
-        reg.reset_all(now=2.0)
-        assert reg.counter("a").count == 0
-        assert reg.tally("b").count == 0
-        assert reg.timeweighted("c").time_average(now=3.0) == pytest.approx(5.0)
 
 
 class TestTallyJsonSafety:
@@ -189,74 +151,3 @@ class TestTimeWeightedIntegral:
         tw.reset(5.0)
         assert tw.integral(7.0) == pytest.approx(2.0)
 
-
-class TestBatchHelpers:
-    def test_record_many_is_bit_identical_to_repeated_record(self):
-        values = [3.7, -1.2, 0.0, 9.4, 2.5, 2.5, 8.125, -0.001]
-        one = Tally("a", keep_samples=True)
-        for v in values:
-            one.record(v)
-        many = Tally("b", keep_samples=True)
-        many.record_many(values)
-        assert many.count == one.count
-        assert many.mean == one.mean          # exact, not approx
-        assert many.stdev == one.stdev
-        assert many.min == one.min and many.max == one.max
-        assert many.percentile(0.5) == one.percentile(0.5)
-
-    def test_record_many_empty_is_a_no_op(self):
-        t = Tally("a")
-        t.record_many([])
-        assert t.count == 0 and t.min is None
-
-    def test_record_many_appends_to_existing_samples(self):
-        t = Tally("a", keep_samples=True)
-        t.record(1.0)
-        t.record_many([2.0, 3.0])
-        assert t.count == 3
-        assert t.percentile(0.0) == 1.0 and t.percentile(1.0) == 3.0
-
-    def test_update_many_exact_is_bit_identical_to_repeated_update(self):
-        values = [1.0, 3.0, 0.0, 2.0, 2.0, 5.0]
-        times = [0.5, 1.25, 2.0, 2.0, 3.75, 4.5]
-        one = TimeWeighted("a")
-        for v, t in zip(values, times):
-            one.update(v, t)
-        many = TimeWeighted("b")
-        many.update_many(values, times)
-        assert many.integral(5.0) == one.integral(5.0)   # exact
-        assert many.time_average(5.0) == one.time_average(5.0)
-        assert many.max == one.max
-
-    def test_update_many_length_mismatch_rejected(self):
-        tw = TimeWeighted("a")
-        with pytest.raises(ValueError):
-            tw.update_many([1.0, 2.0], [0.5])
-
-    def test_update_many_empty_is_a_no_op(self):
-        tw = TimeWeighted("a", initial=2.0)
-        tw.update_many([], [])
-        assert tw.integral(3.0) == pytest.approx(6.0)
-
-    def test_update_many_backwards_time_rejected(self):
-        tw = TimeWeighted("a")
-        tw.update(1.0, 2.0)
-        with pytest.raises(ValueError):
-            tw.update_many([2.0], [1.0])
-
-    def test_update_many_numpy_path_matches_exact_path(self):
-        np = pytest.importorskip("numpy")
-        values = list(np.linspace(0.0, 7.0, 40))
-        times = list(np.cumsum(np.linspace(0.01, 0.2, 40)))
-        exact = TimeWeighted("a")
-        exact.update_many(values, times)
-        fast = TimeWeighted("b")
-        fast.update_many(values, times, exact=False)
-        assert fast.integral(10.0) == pytest.approx(exact.integral(10.0))
-        assert fast.max == pytest.approx(exact.max)
-
-    def test_update_many_numpy_backwards_time_rejected(self):
-        pytest.importorskip("numpy")
-        tw = TimeWeighted("a")
-        with pytest.raises(ValueError):
-            tw.update_many([1.0, 2.0], [3.0, 1.0], exact=False)
