@@ -206,8 +206,7 @@ class GemLockingProtocol(CCProtocol):
             and not entry.queue
         ):
             # Sole interest: authorize this node's local lock manager.
-            entry.auth_nodes.clear()
-            entry.auth_nodes.add(node_id)
+            entry.auth_nodes = {node_id}
             node.gem_auth.add(page)
         owner = entry.owner
         if self._noforce and owner is not None and owner != node_id:
@@ -294,7 +293,7 @@ class GemLockingProtocol(CCProtocol):
         node.gem_auth.discard(page)
         entry = self.glt.peek(page)
         if entry is not None:
-            entry.auth_nodes.discard(node.node_id)
+            entry.deauthorize(node.node_id)
         # Flush the locally processed lock state back to the GLT.
         yield from self._entry_ops(node.node_id, 2)
         yield from node.comm.send(
@@ -446,7 +445,7 @@ class GemLockingProtocol(CCProtocol):
         if self.config.gem_lock_authorizations:
             node.gem_auth.clear()
             for entry in self.glt._entries.values():
-                entry.auth_nodes.discard(record.node)
+                entry.deauthorize(record.node)
 
     def recover(
         self, faults: "FaultManager", record: "CrashRecord"

@@ -320,7 +320,7 @@ class PrimaryCopyProtocol(CCProtocol):
         )
         auth = self._read_opt and mode is LockMode.SHARED
         if auth:
-            entry.auth_nodes.add(requester)
+            entry.authorize(requester)
         grant: LockResponsePayload = {
             "seqno": seqno,
             "supplied": supplied,
@@ -438,7 +438,7 @@ class PrimaryCopyProtocol(CCProtocol):
         if faults is not None:
             for target, ack in acks:
                 faults.unwatch(target, ack)
-        entry.auth_nodes.difference_update(targets)
+        entry.deauthorize(*targets)
 
     def _handle_revoke(
         self, node: "Node", payload: Mapping[str, Any]
@@ -621,7 +621,7 @@ class PrimaryCopyProtocol(CCProtocol):
             ]:
                 del node.auth_cache[page]
             for entry in self.tables[node.node_id]._entries.values():
-                entry.auth_nodes.discard(home)
+                entry.deauthorize(home)
         # A page-carrying release that was in flight to the dead GLA is
         # gone, and the sender already marked its copy clean: a stale
         # page of the dead partition with no surviving *dirty* current

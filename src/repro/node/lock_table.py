@@ -17,14 +17,19 @@ requests at the queue head are granted in batches, and lock *upgrades*
 Every lock entry also carries the coherency-control metadata the paper
 stores alongside lock state: the page sequence number, the current
 page owner (NOFORCE) and read-authorization node sets (PCL read
-optimization).  Metadata persists after all locks are released.
+optimization).  Metadata persists after all locks are released, so a
+run keeps one entry per page it ever touched.  An idle entry therefore
+owns no containers: its holders, queue and authorization set are shared
+immutable empties, and a private ``dict``/``deque``/``set`` exists only
+while the page has a holder, a waiter or an authorization.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from repro.db.pages import PageId
 
@@ -52,20 +57,50 @@ class _Request:
         self.upgrade = upgrade
 
 
+# The containers every idle entry shares.  They are immutable, so a
+# write that skips the allocate-on-first-use guard raises instead of
+# corrupting every idle entry; the casts keep the attributes typed as
+# the private containers the guarded writes install.
+_NO_HOLDERS = cast(Dict[int, LockMode], MappingProxyType({}))
+_NO_QUEUE = cast(Deque[_Request], ())
+_NO_AUTH = cast(Set[int], frozenset())
+
+
 class LockEntry:
     """Lock state plus coherency metadata for one page."""
 
     __slots__ = ("holders", "queue", "seqno", "owner", "auth_nodes")
 
     def __init__(self) -> None:
-        self.holders: Dict[int, LockMode] = {}
-        self.queue: Deque[_Request] = deque()
+        self.holders: Dict[int, LockMode] = _NO_HOLDERS
+        self.queue: Deque[_Request] = _NO_QUEUE
         #: Page sequence number: incremented for every modification.
         self.seqno: int = 0
         #: Node holding the current page copy (NOFORCE), else None.
         self.owner: Optional[int] = None
-        #: Nodes holding a read authorization (PCL read optimization).
-        self.auth_nodes: Set[int] = set()
+        #: Nodes holding a read authorization (PCL read optimization,
+        #: GEM lock authorizations).
+        self.auth_nodes: Set[int] = _NO_AUTH
+
+    def authorize(self, node_id: int) -> None:
+        """Record a read authorization for ``node_id``."""
+        if self.auth_nodes is _NO_AUTH:
+            self.auth_nodes = {node_id}
+        else:
+            self.auth_nodes.add(node_id)
+
+    def deauthorize(self, *node_ids: int) -> None:
+        """Drop the authorizations of ``node_ids`` (absent ones are ignored)."""
+        if self.auth_nodes is not _NO_AUTH:
+            self.auth_nodes.difference_update(node_ids)
+            if not self.auth_nodes:
+                self.auth_nodes = _NO_AUTH
+
+
+def _private_queue(entry: LockEntry) -> Deque[_Request]:
+    if entry.queue is _NO_QUEUE:
+        entry.queue = deque()
+    return entry.queue
 
 
 class LockTable:
@@ -138,15 +173,20 @@ class LockTable:
                 entry.holders[txn] = LockMode.EXCLUSIVE
                 self.immediate_grants += 1
                 return True
-            entry.queue.appendleft(_Request(txn, mode, on_grant, upgrade=True))
+            _private_queue(entry).appendleft(
+                _Request(txn, mode, on_grant, upgrade=True)
+            )
             self._blocked[txn] = page
             self.waits += 1
             return False
         if not entry.queue and _compatible(mode, entry.holders.values()):
-            entry.holders[txn] = mode
+            if entry.holders is _NO_HOLDERS:
+                entry.holders = {txn: mode}
+            else:
+                entry.holders[txn] = mode
             self.immediate_grants += 1
             return True
-        entry.queue.append(_Request(txn, mode, on_grant, upgrade=False))
+        _private_queue(entry).append(_Request(txn, mode, on_grant, upgrade=False))
         self._blocked[txn] = page
         self.waits += 1
         return False
@@ -163,15 +203,6 @@ class LockTable:
         del entry.holders[txn]
         return self._promote(entry)
 
-    def release_all(
-        self, txn: int, pages: Iterable[PageId]
-    ) -> List[Tuple[int, LockMode]]:
-        """Release a set of pages held by ``txn``; returns all new grants."""
-        granted: List[Tuple[int, LockMode]] = []
-        for page in pages:
-            granted.extend(self.release(txn, page))
-        return granted
-
     def cancel(self, txn: int, page: PageId) -> List[Tuple[int, LockMode]]:
         """Remove ``txn``'s *queued* request for ``page`` (abort path)."""
         entry = self._entries.get(page)
@@ -187,6 +218,7 @@ class LockTable:
         return self._promote(entry)
 
     def _promote(self, entry: LockEntry) -> List[Tuple[int, LockMode]]:
+        """Grant grantable queue heads, then drop emptied containers."""
         granted: List[Tuple[int, LockMode]] = []
         while entry.queue:
             head = entry.queue[0]
@@ -194,15 +226,21 @@ class LockTable:
                 others = [t for t in entry.holders if t != head.txn]
                 if others:
                     break
-                entry.holders[head.txn] = LockMode.EXCLUSIVE
+            elif not _compatible(head.mode, entry.holders.values()):
+                break
+            # An upgrade request's mode is EXCLUSIVE.
+            if entry.holders is _NO_HOLDERS:
+                entry.holders = {head.txn: head.mode}
             else:
-                if not _compatible(head.mode, entry.holders.values()):
-                    break
                 entry.holders[head.txn] = head.mode
             entry.queue.popleft()
             self._blocked.pop(head.txn, None)
             granted.append((head.txn, head.mode))
             head.on_grant()
+        if not entry.holders:
+            entry.holders = _NO_HOLDERS
+        if not entry.queue:
+            entry.queue = _NO_QUEUE
         return granted
 
     # -- deadlock support --------------------------------------------------

@@ -1,5 +1,6 @@
 """Additional PCL edge cases."""
 
+from repro.node.lock_table import LockEntry
 from repro.workload.transaction import PageAccess
 
 from tests.helpers import drive_cluster as drive
@@ -160,12 +161,13 @@ class TestRevokeOrder:
 
         gla_node.comm.send = fake_send
 
-        class Entry:
-            auth_nodes = {8, 1}
+        entry = LockEntry()
+        entry.authorize(8)
+        entry.authorize(1)
 
-        assert list(Entry.auth_nodes) == [8, 1]  # the hazardous order
+        assert list(entry.auth_nodes) == [8, 1]  # the hazardous order
         drive(cluster, protocol._revoke_authorizations(
-            gla_node, page_of_node(cluster, 0), Entry, requester=0))
+            gla_node, page_of_node(cluster, 0), entry, requester=0))
         assert sent == [1, 8]
-        assert Entry.auth_nodes == set()
+        assert entry.auth_nodes is LockEntry().auth_nodes  # shared empty
         assert protocol.revocations == 2

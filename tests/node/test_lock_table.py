@@ -1,8 +1,11 @@
 """Unit tests for the strict 2PL lock table."""
 
+import tracemalloc
+
 import pytest
 
 from repro.node.lock_table import LockMode, LockTable
+from repro.sim import StreamRegistry
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
@@ -91,13 +94,6 @@ class TestReleaseAndQueue:
     def test_release_unheld_lock_raises(self, table):
         with pytest.raises(KeyError):
             table.release(1, PAGE)
-
-    def test_release_all(self, table):
-        table.request(1, PAGE, X, noop)
-        table.request(1, (0, 2), S, noop)
-        table.release_all(1, [PAGE, (0, 2)])
-        assert table.holds(1, PAGE) is None
-        assert table.holds(1, (0, 2)) is None
 
 
 class TestUpgrades:
@@ -225,9 +221,7 @@ class TestMetadataAndInvariants:
     def test_no_incompatible_coholders_ever(self, table):
         # Exercise a random-ish interleaving and assert the core 2PL
         # invariant after every step.
-        import random
-
-        rng = random.Random(7)
+        rng = StreamRegistry(7).stream("lock-interleaving")
         held = {}
 
         def check():
@@ -248,3 +242,28 @@ class TestMetadataAndInvariants:
                 mode = X if rng.random() < 0.3 else S
                 table.request(txn, PAGE, mode, noop)
             check()
+
+    def test_idle_entry_bytes_stay_small(self):
+        # Every page a run touches keeps its entry for the whole run, so
+        # the host bytes of an idle entry bound memory growth.  Private
+        # containers per entry cost about 1.3 KB here; the shared
+        # empties leave the entry object and its table slot.
+        table = LockTable("glt")
+        pages = [(page % 8, page) for page in range(2000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for page in pages:
+                table.request(1, page, X, noop)
+                table.request(2, page, S, noop)  # waits: a queue is built
+                table.release(1, page)
+                table.release(2, page)
+                entry = table.entry(page)
+                entry.seqno += 1
+                entry.owner = 3
+                entry.authorize(5)
+                entry.deauthorize(5)
+            per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(pages)
+        finally:
+            tracemalloc.stop()
+        assert per_entry < 400, per_entry

@@ -1,14 +1,18 @@
 """Property-based tests for the lock table's 2PL invariants."""
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.node.lock_table import LockMode, LockTable
+from repro.node.lock_table import LockEntry, LockMode, LockTable
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 PAGES = [(0, 0), (0, 1), (0, 2)]
 TXNS = list(range(1, 7))
+NODES = list(range(4))
+#: The immutable empties every idle entry shares.
+IDLE = LockEntry()
 
 
 def noop():
@@ -22,6 +26,8 @@ class LockTableMachine(RuleBasedStateMachine):
         super().__init__()
         self.table = LockTable()
         self.granted = {}  # (txn, page) -> mode
+        self.metadata = {}  # page -> (seqno, owner)
+        self.auth = {page: set() for page in PAGES}
 
     @rule(
         txn=st.sampled_from(TXNS),
@@ -54,6 +60,52 @@ class LockTableMachine(RuleBasedStateMachine):
         page = self.table.blocked_page(txn)
         if page is not None:
             self.table.cancel(txn, page)
+
+    @rule(page=st.sampled_from(PAGES), owner=st.sampled_from([None, *NODES]))
+    def stamp(self, page, owner):
+        entry = self.table.entry(page)
+        entry.seqno += 1
+        entry.owner = owner
+        self.metadata[page] = (entry.seqno, owner)
+
+    @rule(page=st.sampled_from(PAGES), node=st.sampled_from(NODES))
+    def authorize(self, page, node):
+        self.table.entry(page).authorize(node)
+        self.auth[page].add(node)
+
+    @rule(
+        page=st.sampled_from(PAGES),
+        nodes=st.lists(st.sampled_from(NODES), max_size=3),
+    )
+    def deauthorize(self, page, nodes):
+        self.table.entry(page).deauthorize(*nodes)
+        self.auth[page].difference_update(nodes)
+
+    @invariant()
+    def empty_containers_are_the_shared_immutables(self):
+        for page in PAGES:
+            entry = self.table.peek(page)
+            if entry is None:
+                continue
+            assert entry.auth_nodes == self.auth[page]
+            if not entry.holders:
+                assert entry.holders is IDLE.holders
+                with pytest.raises(TypeError):
+                    entry.holders[TXNS[0]] = S
+            if not entry.queue:
+                assert entry.queue is IDLE.queue
+                with pytest.raises(AttributeError):
+                    entry.queue.append(None)
+            if not entry.auth_nodes:
+                assert entry.auth_nodes is IDLE.auth_nodes
+                with pytest.raises(AttributeError):
+                    entry.auth_nodes.add(NODES[0])
+
+    @invariant()
+    def metadata_survives_idle_periods(self):
+        for page, (seqno, owner) in self.metadata.items():
+            entry = self.table.peek(page)
+            assert (entry.seqno, entry.owner) == (seqno, owner)
 
     @invariant()
     def no_incompatible_coholders(self):

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.node.lock_table import LockEntry
 from repro.system.cluster import Cluster
 from repro.system.config import SystemConfig
 
@@ -91,6 +92,26 @@ class TestScaleSmoke:
         # magnitude below the ~100k transactions that ran through.
         assert len(holding_txns) <= 50 * NUM_NODES
         assert len(holding_txns) < 0.05 * result.completed
+
+    def test_only_entries_in_use_own_containers(self, scale_run):
+        # Entries persist for every page the run touched; an idle one
+        # must share the immutable empties rather than own a dict,
+        # deque and set of its own.  (One entry with a waiter owns two
+        # containers, so the count is per container, not per entry.)
+        cluster, _result, _wall = scale_run
+        shared = LockEntry()
+        entries = private = in_use = 0
+        for table in lock_tables(cluster):
+            for entry in table._entries.values():
+                entries += 1
+                for container, empty in (
+                    (entry.holders, shared.holders),
+                    (entry.queue, shared.queue),
+                    (entry.auth_nodes, shared.auth_nodes),
+                ):
+                    private += container is not empty
+                    in_use += bool(container)
+        assert private <= in_use, (private, in_use, entries)
 
     def test_statistics_are_finite_and_sane(self, scale_run):
         _cluster, result, _wall = scale_run
