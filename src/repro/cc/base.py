@@ -159,11 +159,10 @@ class CCProtocol:
     def lock_stats(self) -> Dict[str, float]:
         """CC-path statistics for result collection.
 
-        Protocols without the legacy GEM/PCL stat shapes report through
-        this generic view.  Required keys: ``local_share``,
-        ``remote_lock_requests``, ``lock_requests``, ``mean_lock_wait``,
-        ``page_requests``, ``mean_page_request_delay`` and
-        ``pages_supplied_with_grant``.
+        Every protocol reports through this one view.  Required keys:
+        ``local_share``, ``remote_lock_requests``, ``lock_requests``,
+        ``mean_lock_wait``, ``page_requests``,
+        ``mean_page_request_delay`` and ``pages_supplied_with_grant``.
         """
         raise NotImplementedError
 

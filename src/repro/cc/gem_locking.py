@@ -22,7 +22,7 @@ table (GLT)** stored in Global Extended Memory (section 3.2):
 
 from __future__ import annotations
 
-from typing import Any, Generator, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.cc.base import CCProtocol, LockGrant, PageSource
 from repro.cc.messages import (
@@ -503,6 +503,18 @@ class GemLockingProtocol(CCProtocol):
     # versus PCL's GLA failback.
 
     # -- statistics -------------------------------------------------------------
+
+    def lock_stats(self) -> Dict[str, float]:
+        # Every lock request goes to the GEM GLT: no local/remote split.
+        return {
+            "local_share": 1.0,
+            "remote_lock_requests": 0.0,
+            "lock_requests": float(self.glt.requests),
+            "mean_lock_wait": self.lock_wait_time.mean,
+            "page_requests": float(self.page_requests),
+            "mean_page_request_delay": self.page_request_delay.mean,
+            "pages_supplied_with_grant": 0.0,
+        }
 
     def reset_stats(self) -> None:
         self.lock_wait_time.reset()

@@ -831,9 +831,18 @@ class PrimaryCopyProtocol(CCProtocol):
 
     # -- statistics ----------------------------------------------------------------
 
-    def local_share(self) -> float:
+    def lock_stats(self) -> Dict[str, float]:
+        # No page-request path: pages travel with grants and releases.
         total = self.local_lock_requests + self.remote_lock_requests
-        return self.local_lock_requests / total if total else 1.0
+        return {
+            "local_share": self.local_lock_requests / total if total else 1.0,
+            "remote_lock_requests": float(self.remote_lock_requests),
+            "lock_requests": float(total),
+            "mean_lock_wait": self.lock_wait_time.mean,
+            "page_requests": 0.0,
+            "mean_page_request_delay": 0.0,
+            "pages_supplied_with_grant": float(self.pages_supplied_with_grant),
+        }
 
     def reset_stats(self) -> None:
         self.lock_wait_time.reset()

@@ -119,7 +119,6 @@ class Node:
         self.buffer.reset_stats()
         self.comm.reset_stats()
         self.mpl.reset_stats()
-        self.mailbox.reset_stats()
         self.arrivals.reset()
         self.completions.reset()
         self.aborts.reset()

@@ -10,7 +10,7 @@ discrete-event simulation core in the style familiar from SimPy:
 * :class:`~repro.sim.engine.Process` -- a Python generator driven by the
   event loop; ``yield`` an event to wait for it.
 * :class:`~repro.sim.resources.Resource` -- a multi-server FCFS station
-  with built-in utilization and queue-length statistics.
+  with a built-in busy-time (utilization) statistic.
 * :class:`~repro.sim.resources.Store` -- an unbounded mailbox used for
   message passing between model components.
 * :class:`~repro.sim.rng.StreamRegistry` -- named, independently seeded

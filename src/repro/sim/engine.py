@@ -583,7 +583,8 @@ class Simulator:
         tuple comparison against the heap top replaces a full heap
         sift.  The horizon check lives in the heap-only branch -- lane
         entries are always at the current clock value, which the loop
-        never advances past ``until``.
+        never advances past the horizon.  A missing ``until`` is an
+        infinite horizon.
 
         The cyclic garbage collector is suspended for the duration of
         the loop (restored on every exit path): the event churn would
@@ -595,6 +596,7 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
+        horizon = float("inf") if until is None else until
         gc_enabled = gc.isenabled()
         if gc_enabled:
             gc.disable()
@@ -603,71 +605,37 @@ class Simulator:
         ready = self._ready
         pop = heappop
         processed = self.events_processed
-        # Two copies of the loop so the horizon check costs nothing
-        # when no ``until`` is given (and no ``is not None`` test per
-        # event when it is).
         try:
-            if until is None:
-                while True:
-                    if urgent:
-                        entry = urgent[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            urgent.popleft()
-                    elif ready:
-                        entry = ready[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            ready.popleft()
-                    elif heap:
+            while True:
+                if urgent:
+                    entry = urgent[0]
+                    if heap and heap[0] < entry:
                         entry = pop(heap)
                     else:
-                        break
-                    time_, _prio, _seq, event = entry
-                    self.now = time_
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    processed += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not callbacks and not getattr(
-                        event._value, "unhandled_ok", False
-                    ):
-                        raise event._value
-            else:
-                while True:
-                    if urgent:
-                        entry = urgent[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            urgent.popleft()
-                    elif ready:
-                        entry = ready[0]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            ready.popleft()
-                    elif heap:
-                        if heap[0][0] > until:
-                            self.now = until
-                            return
+                        urgent.popleft()
+                elif ready:
+                    entry = ready[0]
+                    if heap and heap[0] < entry:
                         entry = pop(heap)
                     else:
+                        ready.popleft()
+                elif heap:
+                    if heap[0][0] > horizon:
                         break
-                    time_, _prio, _seq, event = entry
-                    self.now = time_
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    processed += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not callbacks and not getattr(
-                        event._value, "unhandled_ok", False
-                    ):
-                        raise event._value
+                    entry = pop(heap)
+                else:
+                    break
+                time_, _prio, _seq, event = entry
+                self.now = time_
+                callbacks = event.callbacks
+                event.callbacks = None
+                processed += 1
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not callbacks and not getattr(
+                    event._value, "unhandled_ok", False
+                ):
+                    raise event._value
         finally:
             self.events_processed = processed
             if gc_enabled:

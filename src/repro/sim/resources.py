@@ -2,9 +2,8 @@
 
 :class:`Resource` models a multi-server FCFS service station (CPUs, a
 disk, the GEM store, the network).  It is a counted semaphore with a
-FIFO wait queue plus built-in statistics: time-weighted busy-server and
-queue-length curves, waiting-time and service-count tallies, so that
-device utilizations and queuing delays can be reported directly.
+FIFO wait queue and one statistic, the time-weighted busy-server curve,
+from which device busy times and utilizations are reported.
 
 :func:`hold_seq` is the one compound hold: a sequence of legs -- a CPU
 slice, a disk I/O's CPU/controller/transfer/disk legs, a CPU held
@@ -30,7 +29,7 @@ from repro.sim.engine import (
     Simulator,
     _Callback,
 )
-from repro.sim.stats import Tally, TimeWeighted
+from repro.sim.stats import TimeWeighted
 
 __all__ = ["NESTED", "Resource", "Store", "hold_seq", "hold_seq_cancel"]
 
@@ -51,17 +50,7 @@ class Resource:
         yield from resource.acquire(service_time)
     """
 
-    __slots__ = (
-        "sim",
-        "capacity",
-        "name",
-        "_busy",
-        "_queue",
-        "busy_stat",
-        "queue_stat",
-        "wait_time",
-        "services",
-    )
+    __slots__ = ("sim", "capacity", "name", "_busy", "_queue", "busy_stat")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -70,12 +59,8 @@ class Resource:
         self.capacity = capacity
         self.name = name or "resource"
         self._busy = 0
-        self._queue: Deque[Tuple[Event, float]] = deque()
-        # Statistics.
+        self._queue: Deque[Event] = deque()
         self.busy_stat = TimeWeighted(f"{self.name}.busy", now=sim.now)
-        self.queue_stat = TimeWeighted(f"{self.name}.queue", now=sim.now)
-        self.wait_time = Tally(f"{self.name}.wait")
-        self.services = 0
 
     @property
     def busy(self) -> int:
@@ -101,41 +86,20 @@ class Resource:
         event._scheduled = False
         busy = self._busy
         if busy < self.capacity and not self._queue:
-            # Uncontended grant: ``_grant(event, waited=0.0)`` inlined
-            # (same float operations, see the comment there) -- this is
-            # the overwhelmingly common case and saves a call per
-            # request.
+            # Uncontended grant, with busy_stat.update(busy + 1, now)
+            # inlined: the overwhelmingly common case.
             self._busy = busy = busy + 1
             now = sim.now
             stat = self.busy_stat
             stat._area += stat._value * (now - stat._last_time)
             stat._last_time = now
             stat._value = busy
-            if busy > stat.max:
-                stat.max = busy
-            # Deferred zero-wait record (Tally._fold): the count stays
-            # eager, the moments fold in before the next read/record.
-            tally = self.wait_time
-            tally.count += 1
-            tally._zeros += 1
-            self.services += 1
             event._value = self
             event._scheduled = True
             sim._seq += 1
             sim._ready.append((now, NORMAL, sim._seq, event))
         else:
-            now = sim.now
-            queue = self._queue
-            queue.append((event, now))
-            # Inlined queue_stat.update(len(queue), now); at high
-            # utilization most requests queue, so this is hot too.
-            stat = self.queue_stat
-            stat._area += stat._value * (now - stat._last_time)
-            stat._last_time = now
-            depth = len(queue)
-            stat._value = depth
-            if depth > stat.max:
-                stat.max = depth
+            self._queue.append(event)
         return event
 
     def release(self) -> None:
@@ -154,39 +118,13 @@ class Resource:
             stat._last_time = now
             stat._value = busy
             return
-        # Handoff fusion: the released unit goes straight to the queue
-        # head, so the busy level never changes at this instant -- the
-        # down-then-up busy_stat double update is skipped entirely
-        # (deferring the time-weighted accrual to the next real level
-        # change integrates the identical area, since the level is
-        # constant in between, and the max cannot move).  The grant
-        # accounting runs inline: wait tally, service count, then
-        # either the leg-end timer of a hold_seq entry or the grant
-        # event of a plain request.
+        # Hand-off: the released unit goes straight to the queue head,
+        # so the busy level does not change and busy_stat needs no
+        # update.  The grant either arms the leg-end timer of a
+        # hold_seq entry or triggers the grant event of a plain request.
         sim = self.sim
         now = sim.now
-        event, enqueued_at = queue.popleft()
-        # Inlined queue_stat.update (see request); the queue only
-        # shrinks here, so the max check would never fire.
-        qstat = self.queue_stat
-        qstat._area += qstat._value * (now - qstat._last_time)
-        qstat._last_time = now
-        qstat._value = len(queue)
-        waited = now - enqueued_at
-        # Inlined wait_time.record(waited), folding any deferred
-        # zero-wait observations first (see Tally._fold).
-        tally = self.wait_time
-        if tally._zeros:
-            tally._fold()
-        tally.count = count = tally.count + 1
-        delta = waited - tally._mean
-        tally._mean += delta / count
-        tally._m2 += delta * (waited - tally._mean)
-        if waited < tally._min:
-            tally._min = waited
-        if waited > tally._max:
-            tally._max = waited
-        self.services += 1
+        event = queue.popleft()
         if type(event) is _Callback:
             # A hold_seq leg: arm the leg-end timer directly instead of
             # waking the holder just to start it.  A set ``_scheduled``
@@ -262,17 +200,9 @@ class Resource:
         now = self.sim.now if now is None else now
         return self.busy_stat.time_average(now) / self.capacity
 
-    def mean_queue_length(self, now: Optional[float] = None) -> float:
-        now = self.sim.now if now is None else now
-        return self.queue_stat.time_average(now)
-
     def reset_stats(self) -> None:
         """Discard accumulated statistics (end of warm-up)."""
-        now = self.sim.now
-        self.busy_stat.reset(now)
-        self.queue_stat.reset(now)
-        self.wait_time.reset()
-        self.services = 0
+        self.busy_stat.reset(self.sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -313,13 +243,10 @@ class _SeqState:
 
 def _unqueue(resource: Resource, event: Event) -> None:
     """Withdraw a still-queued request or leg entry (cancel path)."""
-    queue = resource._queue
-    for index, (queued, _enqueued_at) in enumerate(queue):
-        if queued is event:
-            del queue[index]
-            resource.queue_stat.update(len(queue), resource.sim.now)
-            return
-    raise ValueError(f"cancel of unknown request on {resource.name!r}")
+    try:
+        resource._queue.remove(event)
+    except ValueError:
+        raise ValueError(f"cancel of unknown request on {resource.name!r}") from None
 
 
 def _one_leg_end(entry: Event) -> None:
@@ -391,24 +318,10 @@ def _seq_advance(entry: Event) -> None:
             stat._area += stat._value * (now - stat._last_time)
             stat._last_time = now
             stat._value = busy
-            if busy > stat.max:
-                stat.max = busy
-            tally = resource.wait_time
-            tally.count += 1
-            tally._zeros += 1
-            resource.services += 1
         else:
             entry._scheduled = False
             entry.duration = duration
-            queue = resource._queue
-            queue.append((entry, now))
-            stat = resource.queue_stat
-            stat._area += stat._value * (now - stat._last_time)
-            stat._last_time = now
-            depth = len(queue)
-            stat._value = depth
-            if depth > stat.max:
-                stat.max = depth
+            resource._queue.append(entry)
             return
     entry._scheduled = True
     sim._seq += 1
@@ -438,10 +351,10 @@ def hold_seq(sim: Simulator, legs: Legs) -> Event:
 
     ONE scheduled entry walks the whole sequence, fired once per leg;
     the caller suspends exactly once, on the returned completion event.
-    Queueing, grant statistics, RNG draws and release instants are
-    those of the step-per-leg formulation.  A one-leg sequence returns
-    its armed entry itself as the completion event: no separate
-    completion event and no progress record.
+    Queueing, busy time, RNG draws and release instants are those of
+    the step-per-leg formulation.  A one-leg sequence returns its armed
+    entry itself as the completion event: no separate completion event
+    and no progress record.
 
     The caller *must* guard the ``yield`` with :func:`hold_seq_cancel`
     so an interrupt at any stage returns whatever is held or queued::
@@ -492,34 +405,19 @@ def hold_seq(sim: Simulator, legs: Legs) -> Event:
     if resource is not None:
         busy = resource._busy
         if busy < resource.capacity and not resource._queue:
-            # Uncontended grant: the request() fast path's float
-            # operations (busy_stat.update(busy + 1, now), deferred
-            # zero-wait record, service count).
+            # Uncontended grant: the request() fast path's
+            # busy_stat.update(busy + 1, now).
             resource._busy = busy = busy + 1
             stat = resource.busy_stat
             stat._area += stat._value * (now - stat._last_time)
             stat._last_time = now
             stat._value = busy
-            if busy > stat.max:
-                stat.max = busy
-            tally = resource.wait_time
-            tally.count += 1
-            tally._zeros += 1
-            resource.services += 1
         else:
             # Contended: park the entry on the FIFO wait queue with its
             # duration; the grant in Resource.release arms the timer.
             entry._scheduled = False
             entry.duration = duration
-            queue = resource._queue
-            queue.append((entry, now))
-            stat = resource.queue_stat
-            stat._area += stat._value * (now - stat._last_time)
-            stat._last_time = now
-            depth = len(queue)
-            stat._value = depth
-            if depth > stat.max:
-                stat.max = depth
+            resource._queue.append(entry)
             return done
     entry._scheduled = True
     sim._seq += 1
@@ -573,33 +471,27 @@ class Store:
     delivered to getters in FIFO order on both sides.
     """
 
-    __slots__ = ("sim", "name", "_items", "_getters", "size_stat", "puts")
+    __slots__ = ("sim", "name", "_items", "_getters")
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name or "store"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.size_stat = TimeWeighted(f"{self.name}.size", now=sim.now)
-        self.puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        self.puts += 1
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-            self.size_stat.update(len(self._items), self.sim.now)
 
     def get(self) -> Event:
         event = Event(self.sim)
         if self._items:
-            item = self._items.popleft()
-            self.size_stat.update(len(self._items), self.sim.now)
-            event.succeed(item)
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event
@@ -607,14 +499,8 @@ class Store:
     def clear(self) -> int:
         """Drop all buffered items (crash teardown); returns the count."""
         dropped = len(self._items)
-        if dropped:
-            self._items.clear()
-            self.size_stat.update(0, self.sim.now)
+        self._items.clear()
         return dropped
-
-    def reset_stats(self) -> None:
-        self.size_stat.reset(self.sim.now)
-        self.puts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Store({self.name!r}, items={len(self._items)}, waiting={len(self._getters)})"

@@ -5,10 +5,9 @@ Three collector types cover everything the model reports:
 * :class:`Counter` -- monotonically increasing occurrence counts.
 * :class:`Tally` -- per-observation statistics (mean, variance, min,
   max), e.g. response times.
-* :class:`TimeWeighted` -- time-integrated statistics for state
-  variables such as queue lengths or busy servers; its mean over an
-  interval is the time average (utilization when the variable is the
-  busy-server count divided by capacity).
+* :class:`TimeWeighted` -- the time integral of a piecewise-constant
+  state variable (a resource's busy-server count); its mean over an
+  interval is the time average (utilization when divided by capacity).
 
 All collectors support :meth:`reset` so that a warm-up period can be
 discarded before measurement starts, as is standard practice for
@@ -43,20 +42,9 @@ class Counter:
 
 
 class Tally:
-    """Per-observation statistics with Welford's online algorithm.
+    """Per-observation statistics with Welford's online algorithm."""
 
-    Zero-valued observations may be recorded *deferred*: a caller on a
-    hot path increments ``count`` and ``_zeros`` instead of running the
-    full Welford update (see ``Resource``'s uncontended grants, where
-    the waiting time is 0.0 by construction).  The pending zeros are
-    folded into the moments with the exact pairwise-merge formula
-    before anything reads or records through them, so every property
-    returns the same statistics as eager recording would (merging a
-    block of equal observations is mathematically exact; only the
-    float rounding of the intermediate sums differs).
-    """
-
-    __slots__ = ("name", "count", "_mean", "_m2", "_min", "_max", "_zeros")
+    __slots__ = ("name", "count", "_mean", "_m2", "_min", "_max")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -65,37 +53,8 @@ class Tally:
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._zeros = 0
-
-    def _fold(self) -> None:
-        """Fold deferred zero observations into the moments.
-
-        Chan et al.'s parallel-merge formula for combining the running
-        moments with a block of ``k`` zeros (mean 0, M2 0): with
-        ``delta = -mean``, the merged mean is ``mean * n_old / n`` and
-        ``M2 += delta^2 * n_old * k / n = mean * new_mean * k``.
-        ``count`` already includes the zeros (it is kept eager so
-        direct readers never see a stale total).
-        """
-        k = self._zeros
-        if not k:
-            return
-        self._zeros = 0
-        n = self.count
-        n_old = n - k
-        if n_old:
-            mean = self._mean
-            new_mean = mean * (n_old / n)
-            self._m2 += mean * new_mean * k
-            self._mean = new_mean
-        if self._min > 0.0:
-            self._min = 0.0
-        if self._max < 0.0:
-            self._max = 0.0
 
     def record(self, value: float) -> None:
-        if self._zeros:
-            self._fold()
         self.count += 1
         delta = value - self._mean
         self._mean += delta / self.count
@@ -107,8 +66,6 @@ class Tally:
 
     @property
     def mean(self) -> float:
-        if self._zeros:
-            self._fold()
         return self._mean if self.count else 0.0
 
     @property
@@ -119,21 +76,15 @@ class Tally:
         ``inf`` as the non-standard ``Infinity`` token, which strict
         JSON parsers reject.
         """
-        if self._zeros:
-            self._fold()
         return self._min if self.count else None
 
     @property
     def max(self) -> Optional[float]:
         """Largest observation, or None for an empty tally."""
-        if self._zeros:
-            self._fold()
         return self._max if self.count else None
 
     @property
     def variance(self) -> float:
-        if self._zeros:
-            self._fold()
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
     @property
@@ -156,7 +107,6 @@ class Tally:
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._zeros = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tally({self.name!r}, n={self.count}, mean={self.mean:.6g})"
@@ -169,7 +119,7 @@ class TimeWeighted:
     over the observation interval is ``area / elapsed``.
     """
 
-    __slots__ = ("name", "_value", "_last_time", "_start_time", "_area", "max")
+    __slots__ = ("name", "_value", "_last_time", "_start_time", "_area")
 
     def __init__(self, name: str = "", initial: float = 0.0, now: float = 0.0) -> None:
         self.name = name
@@ -177,7 +127,6 @@ class TimeWeighted:
         self._last_time = now
         self._start_time = now
         self._area = 0.0
-        self.max = initial
 
     @property
     def value(self) -> float:
@@ -189,11 +138,6 @@ class TimeWeighted:
         self._area += self._value * (now - self._last_time)
         self._last_time = now
         self._value = value
-        if value > self.max:
-            self.max = value
-
-    def add(self, delta: float, now: float) -> None:
-        self.update(self._value + delta, now)
 
     def time_average(self, now: float) -> float:
         elapsed = now - self._start_time
@@ -210,7 +154,6 @@ class TimeWeighted:
         self._last_time = now
         self._start_time = now
         self._area = 0.0
-        self.max = self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TimeWeighted({self.name!r}, value={self._value})"

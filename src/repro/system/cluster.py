@@ -378,32 +378,7 @@ class Cluster:
             hit_ratios[partition.name] = hits / accesses if accesses else 0.0
             invalidations[partition.name] = invals / completed if completed else 0.0
         # -- locks ----------------------------------------------------------
-        protocol = self.protocol
-        if isinstance(protocol, PrimaryCopyProtocol):
-            local_share = protocol.local_share()
-            remote_locks = protocol.remote_lock_requests
-            total_locks = protocol.local_lock_requests + remote_locks
-            lock_wait = protocol.lock_wait_time.mean
-            page_req = 0
-            page_req_delay = 0.0
-            supplied = protocol.pages_supplied_with_grant
-        elif isinstance(protocol, GemLockingProtocol):
-            local_share = 1.0
-            remote_locks = 0
-            total_locks = protocol.glt.requests
-            lock_wait = protocol.lock_wait_time.mean
-            page_req = protocol.page_requests
-            page_req_delay = protocol.page_request_delay.mean
-            supplied = 0
-        else:
-            stats = protocol.lock_stats()
-            local_share = stats["local_share"]
-            remote_locks = int(stats["remote_lock_requests"])
-            total_locks = int(stats["lock_requests"])
-            lock_wait = stats["mean_lock_wait"]
-            page_req = int(stats["page_requests"])
-            page_req_delay = stats["mean_page_request_delay"]
-            supplied = int(stats["pages_supplied_with_grant"])
+        locks = self.protocol.lock_stats()
         per_txn = (1.0 / completed) if completed else 0.0
         return RunResult(
             num_nodes=config.num_nodes,
@@ -431,15 +406,17 @@ class Cluster:
             ),
             hit_ratios=hit_ratios,
             invalidations_per_txn=invalidations,
-            local_lock_share=local_share,
-            lock_requests_per_txn=total_locks * per_txn,
-            remote_lock_requests_per_txn=remote_locks * per_txn,
-            mean_lock_wait_time=lock_wait,
+            local_lock_share=locks["local_share"],
+            lock_requests_per_txn=locks["lock_requests"] * per_txn,
+            remote_lock_requests_per_txn=locks["remote_lock_requests"] * per_txn,
+            mean_lock_wait_time=locks["mean_lock_wait"],
             deadlocks=self.detector.deadlocks_detected,
             aborts=sum(node.aborts.count for node in self.nodes),
-            page_requests_per_txn=page_req * per_txn,
-            mean_page_request_delay=page_req_delay,
-            pages_supplied_with_grant_per_txn=supplied * per_txn,
+            page_requests_per_txn=locks["page_requests"] * per_txn,
+            mean_page_request_delay=locks["mean_page_request_delay"],
+            pages_supplied_with_grant_per_txn=(
+                locks["pages_supplied_with_grant"] * per_txn
+            ),
             messages_short_per_txn=sum(n.comm.sent_short for n in self.nodes) * per_txn,
             messages_long_per_txn=sum(n.comm.sent_long for n in self.nodes) * per_txn,
             events_processed=self.sim.events_processed,

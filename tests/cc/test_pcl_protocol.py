@@ -85,7 +85,7 @@ class TestLocalVsRemote:
         t2 = make_txn(2, 0)
         drive(cluster, cluster.protocol.acquire(t1, local_page(cluster, 0), False, None))
         drive(cluster, cluster.protocol.acquire(t2, local_page(cluster, 1), False, None))
-        assert cluster.protocol.local_share() == pytest.approx(0.5)
+        assert cluster.protocol.lock_stats()["local_share"] == pytest.approx(0.5)
 
 
 class TestCoherency:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cc.deadlock import DeadlockDetector
 from repro.node.lock_table import LockMode, LockTable
+from repro.sim import StreamRegistry
 
 X = LockMode.EXCLUSIVE
 
@@ -45,15 +46,15 @@ class TestAcyclicNeverFires:
     ):
         """Transactions acquiring pages in global page order (the
         debit-credit discipline) can never deadlock."""
-        import random
-
-        rng = random.Random(seed)
+        rng = StreamRegistry(seed).stream("page-subsets")
         detector = DeadlockDetector()
         table = LockTable()
         # Each txn requests a sorted subset of pages, one at a time;
         # when blocked it stops (we don't simulate time here).
         for txn in range(num_txns):
-            pages = sorted(rng.sample(range(num_pages), rng.randint(1, num_pages)))
+            order = list(range(num_pages))
+            rng.shuffle(order)
+            pages = sorted(order[: rng.randint(1, num_pages)])
             for page_no in pages:
                 if table.is_blocked(txn):
                     break

@@ -147,29 +147,6 @@ class TestResourceStatistics:
         sim.run()
         assert res.utilization() == pytest.approx(0.5)
 
-    def test_wait_time_tally(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def job(service):
-            yield from res.acquire(service)
-
-        sim.process(job(3.0))
-        sim.process(job(1.0))
-        sim.run()
-        assert res.wait_time.count == 2
-        assert res.wait_time.mean == pytest.approx((0.0 + 3.0) / 2)
-
-    def test_services_counter(self, sim):
-        res = Resource(sim, capacity=2)
-
-        def job():
-            yield from res.acquire(1.0)
-
-        for _ in range(5):
-            sim.process(job())
-        sim.run()
-        assert res.services == 5
-
     def test_reset_stats_discards_history(self, sim):
         res = Resource(sim, capacity=1)
 
@@ -181,23 +158,6 @@ class TestResourceStatistics:
         res.reset_stats()
         sim.run(until=20.0)
         assert res.utilization() == pytest.approx(0.0)
-        assert res.services == 0
-
-    def test_mean_queue_length(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            yield from res.acquire(10.0)
-
-        def waiter():
-            yield res.request()
-            res.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run()
-        # One waiter queued for the whole 10s interval.
-        assert res.mean_queue_length() == pytest.approx(1.0)
 
 
 class TestStore:
@@ -271,7 +231,6 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-        assert store.puts == 2
 
 
 class TestCancel:

@@ -68,18 +68,6 @@ class TestTimeWeighted:
         # value 4 over [3,5)
         assert tw.time_average(now=5.0) == pytest.approx((0 * 1 + 2 * 2 + 4 * 2) / 5)
 
-    def test_add_delta(self):
-        tw = TimeWeighted(initial=1.0, now=0.0)
-        tw.add(2.0, now=2.0)
-        assert tw.value == 3.0
-        assert tw.time_average(now=4.0) == pytest.approx((1 * 2 + 3 * 2) / 4)
-
-    def test_max_tracking(self):
-        tw = TimeWeighted(initial=0.0, now=0.0)
-        tw.update(5.0, now=1.0)
-        tw.update(2.0, now=2.0)
-        assert tw.max == 5.0
-
     def test_time_backwards_rejected(self):
         tw = TimeWeighted(now=5.0)
         with pytest.raises(ValueError):
@@ -95,7 +83,6 @@ class TestTimeWeighted:
         tw.reset(now=1.0)
         assert tw.value == 10.0
         assert tw.time_average(now=2.0) == pytest.approx(10.0)
-        assert tw.max == 10.0
 
 
 class TestTallyJsonSafety:

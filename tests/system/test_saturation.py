@@ -45,16 +45,17 @@ class TestOverload:
 
     def test_high_mpl_avoids_input_queueing_at_nominal_load(self):
         """Table 4.1: MPL 'high enough to avoid queuing delays'."""
-        result_config = SystemConfig(
+        config = SystemConfig(
             num_nodes=1,
             arrival_rate_per_node=100.0,
             mpl_per_node=50,
             warmup_time=1.0,
             measure_time=3.0,
+            collect_breakdown=True,
         )
-        cluster = Cluster(result_config)
-        cluster.sim.run(until=4.0)
-        assert cluster.nodes[0].mpl.wait_time.mean < 1e-4
+        result = run_simulation(config)
+        assert result.breakdown is not None
+        assert result.breakdown["input_queue"] < 1e-4
 
 
 class TestStability:
